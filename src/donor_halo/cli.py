@@ -23,6 +23,7 @@ are byte-identical for identical configuration and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -150,12 +151,16 @@ def _is_option_key(args: argparse.Namespace, key: str) -> bool:
 def _option(args: argparse.Namespace, config: dict[str, str], key: str,
             default, cast=float):
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        raw = config[key]
-        return cast(raw) if cast is not None else raw
-    return default
+    if value is None and key in config:
+        try:
+            value = cast(config[key])
+        except ValueError as exc:
+            raise MaterialError(f"bad value for {key}: {config[key]!r}") from exc
+    if value is None:
+        return default
+    if isinstance(value, float) and not math.isfinite(value):
+        raise MaterialError(f"{key} must be finite, got {value}")
+    return value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -306,6 +311,8 @@ def _cmd_validity(args: argparse.Namespace, config: dict[str, str]) -> int:
 def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 20260810))
     n_dwell = int(_option(args, config, "dwell", 1_000_000, int))
+    if n_dwell < kinetics.MIN_DWELL:
+        raise MaterialError(f"dwell must be at least {kinetics.MIN_DWELL}, got {n_dwell}")
     results = checks.run_suites(args.suite, seed=seed, n_dwell=n_dwell)
     lines = []
     by_suite: dict[str, list[checks.CheckResult]] = {}

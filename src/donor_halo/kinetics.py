@@ -182,6 +182,10 @@ def hyperfine_correlation_amplitude(occ: float) -> float:
     return occ
 
 
+#: fewest dwell events :func:`simulate_telegraph` accepts
+MIN_DWELL = 4
+
+
 @dataclass(frozen=True)
 class TelegraphEstimate:
     """Monte Carlo autocorrelation estimate for the telegraph modulation."""
@@ -197,6 +201,21 @@ class TelegraphEstimate:
     total_time: float
 
 
+def _first_sample_index(edges: np.ndarray, dt: float) -> np.ndarray:
+    """Index of the first grid time (i + 0.5) * dt at or after each edge.
+
+    Equals ``np.searchsorted((np.arange(n) + 0.5) * dt, edges, side="left")``
+    for non-negative edges below the end of the grid, without building the
+    grid.  The quotient edge / dt is off by far less than one sample, so
+    one step either way, tested against the rounded grid times, makes it
+    exact.
+    """
+    idx = np.ceil(edges / dt - 0.5).astype(np.int64)
+    idx -= (idx - 0.5) * dt >= edges
+    idx += (idx + 0.5) * dt < edges
+    return idx
+
+
 def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
                        tau_empty: float, n_dwell: int, seed: int,
                        n_lags: int = 32, samples_per_dwell: float = 5.0,
@@ -208,9 +227,18 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     uniform grid of spacing min(tau)/samples_per_dwell, and returns the
     empirical autocorrelation with blocked standard errors plus a
     log-linear fit of the decay rate.
+
+    The modulation takes only the values h_empty and h_occupied, so the
+    estimator counts samples instead of multiplying them: each dwell is
+    mapped to its run of grid samples, and for every lag k the sum of
+    h_i h_(i+k) over a block of L samples is
+    n_ee h_empty^2 + n_eo h_empty h_occupied + n_oo h_occupied^2, where
+    the pair counts follow from the occupied counts of the block and of
+    its k-shifted copy and from the occupied-occupied pairs.  Blocks are
+    laid out per lag as (n_samples - k) // n_blocks consecutive samples.
     """
-    if n_dwell < 4:
-        raise MaterialError("need at least a few dwell events")
+    if n_dwell < MIN_DWELL:
+        raise MaterialError(f"need at least {MIN_DWELL} dwell events")
     if not 0.0 < screening < 1.0:
         raise MaterialError("simulation needs a nonzero modulation depth")
     implied = tau_occupied / (tau_occupied + tau_empty)
@@ -231,25 +259,50 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
 
     dt = min(tau_occupied, tau_empty) / samples_per_dwell
     n_samples = int(total / dt)
-    times = (np.arange(n_samples) + 0.5) * dt
-    dwell_index = np.searchsorted(edges, times, side="right")
-    occupied = (dwell_index % 2 == 0) if first_occupied else (dwell_index % 2 == 1)
-    h = np.where(occupied, h_occ, h_empty)
+    if n_samples < n_blocks + n_lags - 1:
+        raise MaterialError(
+            f"{n_samples} samples cannot fill {n_blocks} blocks at {n_lags} "
+            f"lags; raise n_dwell or samples_per_dwell")
+    # sample i, at time (i + 0.5) dt, lies in dwell j when
+    # edges[j-1] <= (i + 0.5) dt < edges[j]
+    starts = np.zeros(n_dwell, dtype=np.int64)
+    starts[1:] = np.minimum(_first_sample_index(edges[:-1], dt), n_samples)
+    counts = np.diff(starts, append=n_samples)
+    dwell_occupied = np.zeros(n_dwell, dtype=bool)
+    dwell_occupied[0 if first_occupied else 1::2] = True
+    occupied = np.repeat(dwell_occupied, counts)
+    occupied_counts = np.where(dwell_occupied, counts, 0)
+    occupied_before = np.cumsum(occupied_counts) - occupied_counts
+
+    def occupied_per_block(first: int, length: int) -> np.ndarray:
+        """Occupied samples in n_blocks consecutive blocks from sample `first`."""
+        bounds = first + length * np.arange(n_blocks + 1)
+        j = np.searchsorted(starts, bounds, side="right") - 1
+        return np.diff(occupied_before[j] + dwell_occupied[j] * (bounds - starts[j]))
 
     block_len = n_samples // n_blocks
-    usable = block_len * n_blocks
-    blocks = h[:usable].reshape(n_blocks, block_len)
-    block_means = blocks.mean(axis=1)
+    n_occ = occupied_per_block(0, block_len)
+    block_means = ((block_len - n_occ) * h_empty + n_occ * h_occ) / block_len
     mean = float(block_means.mean())
     mean_se = float(block_means.std(ddof=1) / math.sqrt(n_blocks))
 
+    h_ee, h_eo, h_oo = h_empty * h_empty, h_empty * h_occ, h_occ * h_occ
+    both = np.empty(n_samples, dtype=bool)
     lags = np.arange(n_lags)
     acf = np.empty(n_lags)
     acf_se = np.empty(n_lags)
     for k in lags:
-        prod = h[: n_samples - k] * h[k:] if k else h * h
-        pb_len = prod.size // n_blocks
-        pb = prod[: pb_len * n_blocks].reshape(n_blocks, pb_len).mean(axis=1)
+        pb_len = (n_samples - k) // n_blocks
+        usable = pb_len * n_blocks
+        np.logical_and(occupied[:usable], occupied[k:k + usable], out=both[:usable])
+        n_oo = np.fromiter(
+            (np.count_nonzero(row) for row in both[:usable].reshape(n_blocks, pb_len)),
+            dtype=np.int64, count=n_blocks)
+        n_lead = occupied_per_block(0, pb_len)
+        n_lag = occupied_per_block(k, pb_len)
+        n_eo = n_lead + n_lag - 2 * n_oo
+        n_ee = pb_len - n_lead - n_lag + n_oo
+        pb = (n_ee * h_ee + n_eo * h_eo + n_oo * h_oo) / pb_len
         acf[k] = pb.mean()
         acf_se[k] = pb.std(ddof=1) / math.sqrt(n_blocks)
 

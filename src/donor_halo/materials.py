@@ -70,7 +70,7 @@ def thermal_velocity(temperature: float, effective_mass_ratio: float) -> float:
 
 def _require_half_integer(spin: float) -> None:
     doubled = 2.0 * spin
-    if spin <= 0.0 or abs(doubled - round(doubled)) > 1e-12:
+    if not 0.0 < spin < math.inf or abs(doubled - round(doubled)) > 1e-12:
         raise MaterialError(f"spin must be a positive half-integer, got {spin}")
 
 
@@ -113,11 +113,13 @@ class MaterialRecord:
             "recombination_time", "bimolecular_k", "donor_density",
             "acceptor_density", "diffusion_length", "photon_energy", "b_n0",
         )
+        if self.hyperfine_field_bohr is not None:
+            positive += ("hyperfine_field_bohr",)
         for key in positive:
-            if getattr(self, key) <= 0.0:
-                raise MaterialError(f"{self.name or '<record>'}: {key} must be positive")
-        if self.hyperfine_field_bohr is not None and self.hyperfine_field_bohr <= 0.0:
-            raise MaterialError(f"{self.name}: hyperfine_field_bohr must be positive")
+            # written so that NaN fails too
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise MaterialError(
+                    f"{self.name or '<record>'}: {key} must be positive and finite")
         if self.acceptor_density <= self.donor_density:
             # partially compensated n-type material is outside the model
             raise MaterialError(

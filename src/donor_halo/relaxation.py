@@ -109,7 +109,12 @@ def intrinsic_ratio(mat: MaterialRecord) -> float:
 
     (5/2) (sigma_c / sigma_e) [4I(I+1)-3]^{-1} [b_e*(a0*) / (b_q E_off(a0*))]^2;
     a pure material constant, independent of power, density or field.
+    Spin 1/2 has no quadrupole moment, so the ratio is undefined there.
     """
+    if mat.spin < 1.0:
+        raise MaterialError(
+            f"spin {mat.spin:g} has no quadrupole moment; the competition "
+            f"amplitude needs a quadrupolar nucleus")
     b_e = mat.require_hyperfine_field()
     e_off_bohr = donor_field(1.0, 0.0, mat).e_off
     field_ratio = b_e / (mat.b_q * e_off_bohr)

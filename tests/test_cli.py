@@ -172,3 +172,54 @@ def test_console_script_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "donor-halo" in result.stdout
+
+
+def run_cli_err(*argv, capsys):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dwell", ["3", "0", "-5"])
+def test_verify_rejects_too_few_dwell_events(dwell, capsys):
+    code, err = run_cli_err("verify", "--suite", "telegraph-mc", "--dwell", dwell,
+                            capsys=capsys)
+    assert code == 2
+    assert err == f"donor-halo: dwell must be at least 4, got {dwell}\n"
+
+
+def test_power_rejects_spin_half(capsys):
+    code, err = run_cli_err("power", "--set", "spin=0.5", capsys=capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "no quadrupole moment" in err
+
+
+@pytest.mark.parametrize("item", ["velocity=nan", "velocity=inf", "spin=nan",
+                                  "donor_density=-inf", "hyperfine_field_bohr=nan"])
+def test_set_rejects_non_finite(item, capsys):
+    code, err = run_cli_err("profile", "--set", item, capsys=capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert item.split("=")[0] in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("profile", "f0", "nan"),
+    ("profile", "f0", "inf"),
+    ("radius", "f0-min", "nan"),
+    ("radius", "f0-max", "-inf"),
+])
+def test_non_finite_options_rejected(command, key, value, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err(command, f"--{key}={value}", "--out", str(out),
+                            capsys=capsys)
+    assert code == 2
+    assert err == f"donor-halo: {key} must be finite, got {float(value)}\n"
+    assert not out.exists()
+
+
+def test_config_rejects_bad_option_value(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("[run]\nf0 = abc\n")
+    code, err = run_cli_err("profile", "--config", str(config), capsys=capsys)
+    assert code == 2
+    assert err == "donor-halo: bad value for f0: 'abc'\n"

@@ -116,3 +116,16 @@ def test_thermal_velocity():
     assert thermal_velocity(77.0, 0.067) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(MaterialError):
         thermal_velocity(-1.0, 0.067)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["velocity", "donor_density", "hyperfine_field_bohr"])
+def test_record_rejects_non_finite(gaas, key, value):
+    with pytest.raises(MaterialError, match=f"{key} must be positive and finite"):
+        gaas.with_overrides(**{key: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_record_rejects_non_finite_spin(gaas, value):
+    with pytest.raises(MaterialError, match="half-integer"):
+        gaas.with_overrides(spin=value)
