@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import fields, kinetics, polarization, relaxation, spin_algebra, validity
+from . import fields, kinetics, oracles, polarization, relaxation, spin_algebra, validity
 from .materials import get_material, load_registry
 
 
@@ -136,7 +135,7 @@ def _check_sphere_average() -> tuple[bool, str]:
     for r in (0.05, 0.1, 0.35, 0.5, 1.0, 2.0, 5.0):
         for f0 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
             closed = polarization.p_avg(r, f0)
-            numeric = polarization.p_avg_quadrature(r, f0)
+            numeric = oracles.p_avg_quadrature(r, f0)
             worst = max(worst, abs(closed - numeric))
     return worst <= 1e-9, f"max |closed - quadrature| {worst:.2e} (tol 1e-9)"
 
@@ -151,7 +150,7 @@ def _check_telegraph_conditionals() -> tuple[bool, str]:
         amplitude = kinetics.telegraph_amplitude(occ, s)
         for tau in (0.0, 0.3e-9, 1.1e-9, 5.0e-9):
             closed = kinetics.telegraph_p_matrix(tau, tau_occ, tau_empty)
-            oracle = kinetics.telegraph_p_matrix_expm(tau, tau_occ, tau_empty)
+            oracle = oracles.telegraph_p_matrix_expm(tau, tau_occ, tau_empty)
             worst_p = max(worst_p, float(np.abs(closed - oracle).max()))
             g = kinetics.telegraph_correlation(tau, occ, s, tau_occ, tau_empty)
             recon = kinetics.correlation_from_conditionals(tau, occ, s, tau_occ, tau_empty)
@@ -165,8 +164,7 @@ def _check_telegraph_conditionals() -> tuple[bool, str]:
 def _check_screening_cdf() -> tuple[bool, str]:
     worst = 0.0
     for r in (0.1, 0.25, 0.5, 1.0, 1.7, 3.0, 6.0):
-        integral, _ = quad(fields.screening_density, 0.0, r,
-                           epsabs=1e-13, epsrel=1e-13)
+        integral = oracles.screening_cdf_quadrature(r)
         worst = max(worst, abs(integral - fields.screening_fraction(r)))
     return worst <= 1e-10, f"max |CDF - closed| {worst:.2e} (tol 1e-10)"
 
@@ -191,7 +189,7 @@ def _check_spectral_density() -> tuple[bool, str]:
         tau_c = float(rng.uniform(0.1, 10.0)) * 1e-9
         omega = float(rng.uniform(0.0, 5.0)) / tau_c
         closed = kinetics.spectral_density(omega, 1.7, tau_c)
-        numeric = kinetics.spectral_density_quadrature(omega, 1.7, tau_c)
+        numeric = oracles.spectral_density_quadrature(omega, 1.7, tau_c)
         worst = max(worst, _rel(closed, numeric))
     return worst <= 1e-8, f"max rel deviation {worst:.2e} (tol 1e-8)"
 
@@ -566,9 +564,8 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
                     "over 50 random geometries")
 
     def field_normalization() -> tuple[bool, str]:
-        weight, _ = quad(fields.screening_density, 0.0,
-                         polarization.FIELD_INTEGRAL_UPPER,
-                         epsabs=1e-12, epsrel=1e-12)
+        weight = oracles.screening_cdf_quadrature(polarization.FIELD_INTEGRAL_UPPER,
+                                                  tol=1e-12)
         return abs(weight - 1.0) <= 2e-8, \
             f"orbital weight integrates to {weight:.10f} (fully polarized halo bound)"
 

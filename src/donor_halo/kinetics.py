@@ -4,9 +4,10 @@ Photoelectron trapping and recombination make the donor charge state a
 two-state Markov (telegraph) process.  This module carries the
 steady-state occupancy and correlation times, the exact two-state
 correlation function together with a Monte Carlo estimator for it, the
-Lorentzian spectral density with its Fourier-quadrature oracle, and the
-steady-state carrier balance linking donor occupancy to the excitation
-power density.
+Lorentzian spectral density, and the steady-state carrier balance
+linking donor occupancy to the excitation power density.  The
+matrix-exponential and Fourier-quadrature oracles live in
+:mod:`donor_halo.oracles`.
 
 Pure functions throughout; the Monte Carlo simulator takes an explicit
 seed and is reproducible.
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from .errors import BracketError, MaterialError
 from .materials import MaterialRecord
@@ -130,15 +129,6 @@ def telegraph_p_matrix(tau: float, tau_occupied: float, tau_empty: float) -> np.
     stationary = np.array([1.0 - occ, occ])
     decay = math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
     return stationary[None, :] + (np.eye(2) - stationary[None, :]) * decay
-
-
-def telegraph_p_matrix_expm(tau: float, tau_occupied: float, tau_empty: float) -> np.ndarray:
-    """Matrix-exponential oracle for :func:`telegraph_p_matrix`."""
-    generator = np.array([
-        [-1.0 / tau_empty, 1.0 / tau_empty],
-        [1.0 / tau_occupied, -1.0 / tau_occupied],
-    ])
-    return expm(generator * abs(tau))
 
 
 def telegraph_correlation(tau: float, occ: float, screening: float,
@@ -327,23 +317,6 @@ def spectral_density(omega: float, amplitude: float, tau_c: float) -> float:
     if tau_c <= 0.0:
         raise MaterialError("correlation time must be positive")
     return 2.0 * amplitude * tau_c / (1.0 + (omega * tau_c) ** 2)
-
-
-def spectral_density_quadrature(omega: float, amplitude: float, tau_c: float) -> float:
-    """Fourier-integral oracle: 2 int_0^inf cos(omega t) amplitude e^(-t/tau) dt.
-
-    Integrated in units of the correlation time so the adaptive rule sees
-    a unit decay scale; truncated where the envelope is ~1e-26.
-    """
-    if tau_c <= 0.0:
-        raise MaterialError("correlation time must be positive")
-    w = omega * tau_c
-
-    def integrand(u: float) -> float:
-        return math.cos(w * u) * math.exp(-u)
-
-    value, _ = quad(integrand, 0.0, 60.0, epsabs=1e-12, epsrel=1e-12, limit=800)
-    return 2.0 * amplitude * tau_c * value
 
 
 # --- excitation power map ---------------------------------------------------

@@ -17,15 +17,14 @@ import math
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from importlib import resources
 
-from scipy import constants as _const
-
 from .errors import MaterialError, MissingParameterError
 
-E_CHARGE = _const.elementary_charge
-HBAR = _const.hbar
-EPSILON_0 = _const.epsilon_0
-K_BOLTZMANN = _const.k
-M_ELECTRON = _const.m_e
+# CODATA 2022 values, as scipy.constants gives them (pinned by a test)
+E_CHARGE = 1.602176634e-19          # C
+HBAR = 1.0545718176461565e-34       # J s
+EPSILON_0 = 8.8541878188e-12        # F/m
+K_BOLTZMANN = 1.380649e-23          # J/K
+M_ELECTRON = 9.1093837139e-31       # kg
 
 #: relative tolerance for the stored-vs-recomputed coupling consistency gate
 BQ_CONSISTENCY_RTOL = 0.10

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import BracketError, MaterialError
+from .errors import BracketError, MaterialError, NumericalError
 from .fields import Geometry, screening_density, screening_fraction
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
                        power_map)
@@ -32,18 +31,15 @@ from .relaxation import intrinsic_ratio, radial_profile, rates
 #: constant is calibrated so the rate/diffusion balance crosses here
 RHO_D_REFERENCE = 1.4
 
+_SQRT3 = math.sqrt(3.0)
+
 
 def p_point(r: float, theta: float, f0: float) -> float:
     """Normalized steady polarization at (r, theta) for ratio amplitude f0."""
-    if r <= 0.0 or f0 <= 0.0:
-        raise MaterialError("r and f0 must be positive")
+    if not (0.0 < r < math.inf and 0.0 < f0 < math.inf):
+        raise MaterialError("r and f0 must be positive and finite")
     f = f0 * radial_profile(r) / (1.0 + 3.0 * math.cos(theta) ** 2)
     return f / (1.0 + f)
-
-
-class AngularAverage(NamedTuple):
-    closed_form: float
-    quadrature: float
 
 
 def p_avg(r: float, f0: float) -> float:
@@ -52,34 +48,21 @@ def p_avg(r: float, f0: float) -> float:
     With a = f0 * phi(r) the average over the solid angle is
     a / sqrt(3 (1+a)) * arctan(sqrt(3 / (1+a))).
     """
-    if r <= 0.0 or f0 <= 0.0:
-        raise MaterialError("r and f0 must be positive")
+    if not (0.0 < r < math.inf and 0.0 < f0 < math.inf):
+        raise MaterialError("r and f0 must be positive and finite")
     a = f0 * radial_profile(r)
     root = math.sqrt(1.0 + a)
-    return a / (math.sqrt(3.0) * root) * math.atan(math.sqrt(3.0) / root)
-
-
-def p_avg_quadrature(r: float, f0: float) -> float:
-    """Adaptive-quadrature oracle for :func:`p_avg` (independent of it)."""
-    a = f0 * radial_profile(r)
-
-    def integrand(u: float) -> float:
-        f = a / (1.0 + 3.0 * u * u)
-        return f / (1.0 + f)
-
-    value, _ = quad(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 0.5 * value
-
-
-def angular_average(r: float, f0: float) -> AngularAverage:
-    """Closed form plus quadrature oracle, for verification surfaces."""
-    return AngularAverage(closed_form=p_avg(r, f0),
-                          quadrature=p_avg_quadrature(r, f0))
+    return a / (_SQRT3 * root) * math.atan(_SQRT3 / root)
 
 
 def _bisect(func: Callable[[float], float], lo: float, hi: float,
             tol: float, what: str, max_iter: int = 200) -> float:
     f_lo, f_hi = func(lo), func(hi)
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        raise BracketError(
+            f"{what} undefined at the bracket [{lo}, {hi}]: "
+            f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
+        )
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -98,7 +81,10 @@ def _bisect(func: Callable[[float], float], lo: float, hi: float,
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    raise NumericalError(
+        f"{what} did not converge to {tol:g} in {max_iter} bisection steps "
+        f"on [{lo}, {hi}]"
+    )
 
 
 def quadrupolar_radius(f0: float, bracket: tuple[float, float] = (1e-3, 8.0),
@@ -183,6 +169,8 @@ def nuclear_field(prof: RadialProfile, mat: MaterialRecord) -> NuclearField:
     smaller), giving b_n0 * s(rho).  The exact value integrates the
     averaged profile against the orbital weight.
     """
+    from scipy.integrate import quad   # the only production use of scipy
+
     rho_eff = prof.rho_q if prof.rho_d is None else min(prof.rho_q, prof.rho_d)
     step = mat.b_n0 * screening_fraction(rho_eff)
     value, _ = quad(lambda r: screening_density(r) * p_avg(r, prof.f0),

@@ -167,6 +167,26 @@ def test_verify_reports_documented_discrepancy(capsys):
     assert "documented discrepancy" in failing[0]
 
 
+def test_verify_suite_choices_match_checks():
+    from donor_halo import checks
+    assert cli.VERIFY_SUITES == tuple(sorted(checks.SUITES))
+
+
+def test_verify_help_lists_suites(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--help"])
+    assert err.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--suite {exact-oracles,properties,reference-numbers,telegraph-mc}" in out
+
+
+def test_verify_rejects_unknown_suite(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--suite", "bogus"])
+    assert err.value.code == 2
+    assert "argument --suite: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_console_script_entry_point():
     result = subprocess.run([sys.executable, "-m", "donor_halo.cli", "--version"],
                             capture_output=True, text=True)

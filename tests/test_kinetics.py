@@ -9,8 +9,8 @@ from donor_halo import (GAMMA_MIN_DIFFUSION, MaterialError, gamma_ceiling,
                         telegraph_correlation)
 from donor_halo.kinetics import (balance_residuals, correlation_from_conditionals,
                                  hyperfine_correlation_amplitude, power_scale,
-                                 spectral_density_quadrature, telegraph_amplitude,
-                                 telegraph_p_matrix, telegraph_p_matrix_expm)
+                                 telegraph_amplitude, telegraph_p_matrix)
+from donor_halo.oracles import spectral_density_quadrature, telegraph_p_matrix_expm
 
 SCREEN_BOHR = 0.3233235838169365   # enclosed-charge fraction at the Bohr radius
 

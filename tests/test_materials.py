@@ -6,8 +6,8 @@ import pytest
 from donor_halo import (MaterialError, MissingParameterError, compute_bq,
                         get_material, list_materials, load_registry, scale_r14,
                         thermal_velocity)
-from donor_halo.materials import (K_BOLTZMANN, M_ELECTRON, dump_record,
-                                  parse_registry)
+from donor_halo.materials import (E_CHARGE, EPSILON_0, HBAR, K_BOLTZMANN,
+                                  M_ELECTRON, dump_record, parse_registry)
 
 
 def test_registry_lists_eight_records():
@@ -129,3 +129,12 @@ def test_record_rejects_non_finite(gaas, key, value):
 def test_record_rejects_non_finite_spin(gaas, value):
     with pytest.raises(MaterialError, match="half-integer"):
         gaas.with_overrides(spin=value)
+
+
+def test_codata_literals_match_scipy():
+    from scipy import constants
+    assert E_CHARGE == constants.elementary_charge
+    assert HBAR == constants.hbar
+    assert EPSILON_0 == constants.epsilon_0
+    assert K_BOLTZMANN == constants.k
+    assert M_ELECTRON == constants.m_e

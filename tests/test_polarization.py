@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from donor_halo import (BracketError, MaterialError, calibrate_diffusion,
-                        diffusion_radius, half_polarization_radius, nuclear_field,
-                        p_avg, p_point, power_sweep, profile, quadrupolar_radius,
-                        radius_sweep, screening_fraction, state_for_occupancy)
+from donor_halo import (BracketError, MaterialError, NumericalError,
+                        calibrate_diffusion, diffusion_radius,
+                        half_polarization_radius, nuclear_field, p_avg, p_point,
+                        power_sweep, profile, quadrupolar_radius, radius_sweep,
+                        screening_fraction, state_for_occupancy)
 from donor_halo.kinetics import power_scale
-from donor_halo.polarization import (FIELD_INTEGRAL_UPPER, RHO_D_REFERENCE,
-                                     angular_average, p_avg_quadrature)
+from donor_halo.oracles import angular_average, p_avg_quadrature
+from donor_halo.polarization import FIELD_INTEGRAL_UPPER, RHO_D_REFERENCE, _bisect
 from donor_halo.relaxation import radial_profile
 
 
@@ -65,6 +66,42 @@ def test_quadrupolar_radius_monotone():
 def test_quadrupolar_radius_no_bracket():
     with pytest.raises(BracketError):
         quadrupolar_radius(1e10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_point_and_average_reject_bad_inputs(bad):
+    with pytest.raises(MaterialError, match="positive and finite"):
+        p_point(0.3, 0.0, bad)
+    with pytest.raises(MaterialError, match="positive and finite"):
+        p_point(bad, 0.0, 1e-2)
+    with pytest.raises(MaterialError, match="positive and finite"):
+        p_avg(1.0, bad)
+    with pytest.raises(MaterialError, match="positive and finite"):
+        p_avg(bad, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_radius_rejects_non_finite_f0(bad):
+    # both used to return 7.9999995, the top of the bracket
+    with pytest.raises(MaterialError):
+        quadrupolar_radius(bad)
+    with pytest.raises(MaterialError):
+        radius_sweep(np.array([bad, 0.1]))
+
+
+def test_bisect_rejects_nan_at_bracket():
+    with pytest.raises(BracketError, match="undefined at the bracket"):
+        _bisect(lambda x: math.nan, 0.0, 1.0, 1e-6, "test root")
+    with pytest.raises(BracketError, match="undefined at the bracket"):
+        _bisect(lambda x: -1.0 if x < 0.5 else math.nan, 0.0, 1.0, 1e-6, "test root")
+
+
+def test_bisect_raises_when_out_of_iterations():
+    with pytest.raises(NumericalError, match="did not converge") as err:
+        _bisect(lambda x: x - 0.3, 0.0, 1.0, 1e-12, "test root", max_iter=5)
+    assert not isinstance(err.value, BracketError)
+    assert _bisect(lambda x: x - 0.3, 0.0, 1.0, 1e-12, "test root") == \
+        pytest.approx(0.3, abs=1e-12)
 
 
 def test_radius_sweep_single_point():
