@@ -167,6 +167,13 @@ def _option(args: argparse.Namespace, config: dict[str, str], key: str,
     return value
 
 
+def _points(args: argparse.Namespace, config: dict[str, str], default: int) -> int:
+    points = int(_option(args, config, "points", default, int))
+    if points < 1:
+        raise MaterialError(f"points must be at least 1, got {points}")
+    return points
+
+
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -217,7 +224,7 @@ def _cmd_profile(args: argparse.Namespace, config: dict[str, str]) -> int:
     f0 = _option(args, config, "f0", 1e-2)
     r_min = _option(args, config, "r-min", 0.05)
     r_max = _option(args, config, "r-max", 3.0)
-    points = int(_option(args, config, "points", 120, int))
+    points = _points(args, config, 120)
     fmt = _option(args, config, "format", "csv", str)
     grid = np.linspace(r_min, r_max, points)
     prof = polarization.profile(f0, grid)
@@ -245,7 +252,7 @@ def _cmd_radius(args: argparse.Namespace, config: dict[str, str]) -> int:
     mat, overrides = _resolve_material(args, config)
     f0_min = _option(args, config, "f0-min", 1e-4)
     f0_max = _option(args, config, "f0-max", 1.0)
-    points = int(_option(args, config, "points", 25, int))
+    points = _points(args, config, 25)
     fmt = _option(args, config, "format", "csv", str)
     table = polarization.radius_sweep(np.geomspace(f0_min, f0_max, points))
     options = {
@@ -269,7 +276,7 @@ def _cmd_power(args: argparse.Namespace, config: dict[str, str]) -> int:
     mat, overrides = _resolve_material(args, config)
     p_min = _option(args, config, "p-min", 0.1)
     p_max = _option(args, config, "p-max", 100.0)
-    points = int(_option(args, config, "points", 31, int))
+    points = _points(args, config, 31)
     fmt = _option(args, config, "format", "csv", str)
     quad_on = not args.no_quadrupolar
     sweep = polarization.power_sweep(np.geomspace(p_min, p_max, points), mat,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import MaterialError
 from .materials import E_CHARGE, EPSILON_0, HBAR, MaterialRecord
+from .numerics import as_operand
 
 
 class Radius(NamedTuple):
@@ -83,16 +84,42 @@ class FieldPoint:
     f0q: float           # static quadrupolar energy scale, J
 
 
-def screening_fraction(r_bohr: float) -> float:
+#: Horner coefficients 1/(k+3)!, k = 15 down to 0, of the series
+#: s = x^3 e^-x sum_k x^k/(k+3)! in x = 2r; on x < 1 the k > 15 terms
+#: add less than 5e-17 of the sum
+_SERIES = tuple(1.0 / math.factorial(k + 3) for k in range(15, -1, -1))
+
+
+def screening_fraction(r_bohr):
     """Fraction of the 1s electron charge inside radius r (a0* units).
 
-    Equals 1 - (1 + 2r + 2r^2) exp(-2r); rises from 0 at the donor site
-    to 1 far away, i.e. it is exactly the normalized radial charge CDF.
+    Equals 1 - (1 + x + x^2/2) e^-x with x = 2r; rises from 0 at the donor
+    site to 1 far away, i.e. it is exactly the normalized radial charge
+    CDF.  Below x = 1 that difference cancels (all digits are lost by
+    r = 1e-8), so there the positive series x^3 e^-x sum x^k/(k+3)! is
+    summed instead.  Takes a float or an array.
     """
-    if r_bohr < 0.0:
+    x = 2.0 * (r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr))
+    if isinstance(x, float):
+        if x < 0.0:
+            raise MaterialError("radius must be non-negative")
+        if x < 1.0:
+            return _cdf_series(x, math)
+        return -math.expm1(-x) - (x + 0.5 * x * x) * math.exp(-x)
+    if (x < 0.0).any():
         raise MaterialError("radius must be non-negative")
-    x = 2.0 * r_bohr
-    return -math.expm1(-x) - (x + 0.5 * x * x) * math.exp(-x)
+    out = -np.expm1(-x) - (x + 0.5 * x * x) * np.exp(-x)
+    small = x < 1.0
+    if small.any():
+        out[small] = _cdf_series(x[small], np)
+    return out
+
+
+def _cdf_series(x, xp):
+    acc = 0.0
+    for c in _SERIES:
+        acc = acc * x + c
+    return x * x * x * xp.exp(-x) * acc
 
 
 def screening_density(r_bohr: float) -> float:

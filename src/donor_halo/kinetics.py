@@ -16,6 +16,7 @@ seed and is reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .errors import BracketError, MaterialError
 from .materials import MaterialRecord
+from .numerics import all_true, any_true, as_operand, solve
 
 #: below this donor occupancy, bulk spin diffusion dominates the nuclear
 #: polarization and the local steady-state model loses validity
@@ -339,19 +341,19 @@ def power_scale(mat: MaterialRecord) -> float:
             * mat.acceptor_density * mat.donor_density)
 
 
-def _free_density(gamma_t: float, mat: MaterialRecord) -> float:
+def _free_density(gamma_t, mat: MaterialRecord):
     capture = mat.sigma_capture * mat.velocity
     denom = capture * (1.0 - gamma_t) - mat.bimolecular_k * gamma_t
-    if denom <= 0.0:
+    if any_true(denom <= 0.0):
         raise MaterialError(
-            f"capture-limited ceiling exceeded: occupancy {gamma_t} is not "
+            f"capture-limited ceiling exceeded: occupancy {np.max(gamma_t)} is not "
             f"reachable (max {gamma_ceiling(mat):.6f})"
         )
     return (mat.bimolecular_k * gamma_t
             * (mat.acceptor_density + gamma_t * mat.donor_density) / denom)
 
 
-def power_map(gamma_t: float, mat: MaterialRecord) -> PowerPoint:
+def power_map(gamma_t, mat: MaterialRecord) -> PowerPoint:
     """Excitation power density that sustains donor occupancy gamma_t.
 
     Solves the full steady-state balance: the free-electron density
@@ -359,9 +361,12 @@ def power_map(gamma_t: float, mat: MaterialRecord) -> PowerPoint:
     neutrality, and the generation rate from the free-electron budget;
     power is the generation rate times (diffusion length * photon
     energy).  The compact approximation valid for N_D << N_A is exposed
-    separately as :func:`power_closed_form`.
+    separately as :func:`power_closed_form`.  Takes a float or an array
+    of occupancies; the fields follow suit (p0 stays a float).
     """
-    if not 0.0 < gamma_t < 1.0:
+    if not isinstance(gamma_t, float):
+        gamma_t = as_operand(gamma_t)
+    if not all_true((0.0 < gamma_t) & (gamma_t < 1.0)):
         raise MaterialError("occupancy must lie strictly inside (0, 1)")
     capture = mat.sigma_capture * mat.velocity
     n_f = _free_density(gamma_t, mat)
@@ -415,17 +420,30 @@ def balance_residuals(gamma_t: float, mat: MaterialRecord) -> dict[str, float]:
     }
 
 
-def invert_power(power: float, mat: MaterialRecord, rtol: float = 1e-10,
-                 max_iter: int = 200) -> float:
+def invert_power(power, mat: MaterialRecord, rtol: float = 1e-10,
+                 max_iter: int = 200):
     """Occupancy sustained by a given power density (bisection).
 
     The power map is strictly increasing on (0, gamma_ceiling) and onto
-    (0, inf), so the bisection always converges.
+    (0, inf), so the bisection always converges.  Beyond the top of the
+    bracket the occupancy sits on its asymptotic plateau, and the top is
+    returned.  Takes a float, bisected on floats, or an array, bisected
+    in lockstep by :func:`donor_halo.numerics.solve` through the same
+    midpoints, so both give identical occupancies.
     """
-    if power <= 0.0:
+    power = as_operand(power)
+    if any_true(power <= 0.0):
         raise MaterialError("power must be positive")
     ceiling = gamma_ceiling(mat)
     lo, hi = 1e-16, ceiling * (1.0 - 1e-14)
+    resolved = 4.0 * sys.float_info.epsilon * ceiling
+    if not isinstance(power, float):
+        tol = rtol * power
+        occ = solve(lambda g: power_map(g, mat).power - power,
+                    np.full(power.shape, lo), np.full(power.shape, hi),
+                    what="power inversion", max_iter=max_iter,
+                    done=lambda g, f, lo, hi: (np.abs(f) <= tol) | (hi - lo <= resolved))
+        return np.where(power_map(hi, mat).power < power, hi, occ)
     if power_map(hi, mat).power < power:
         return hi             # asymptotic plateau beyond any finite bracket
     for _ in range(max_iter):
@@ -433,7 +451,7 @@ def invert_power(power: float, mat: MaterialRecord, rtol: float = 1e-10,
         value = power_map(mid, mat).power
         if abs(value - power) <= rtol * power:
             return mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * ceiling:
+        if hi - lo <= resolved:
             # occupancy resolved to machine precision; near the ceiling
             # pole the power tolerance itself is unreachable in floats
             return mid

@@ -1,7 +1,8 @@
 """Brute-force oracles backed by scipy.
 
 Each function here recomputes a closed form of the package by an
-independent numerical route (adaptive quadrature, matrix exponential),
+independent numerical route (adaptive quadrature, matrix exponential,
+bisection),
 for the verification suites and the tests.  This is the only module that
 imports scipy at top level, so production imports (``donor_halo``, the
 CLI commands other than ``verify``) never load it.
@@ -16,10 +17,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from .errors import MaterialError
+from .errors import MaterialError, NumericalError
 from .fields import screening_density
+from .materials import HBAR, MaterialRecord
 from .polarization import p_avg
 from .relaxation import radial_profile
+from .validity import _worst_case_shift
 
 
 def screening_cdf_quadrature(r: float, tol: float = 1e-13) -> float:
@@ -75,7 +78,64 @@ def p_avg_quadrature(r: float, f0: float) -> float:
     return 0.5 * value
 
 
+def quadrupolar_radius_bisection(f0: float) -> float:
+    """Brute-force oracle for ``polarization.quadrupolar_radius``.
+
+    Bisects p_avg(r, f0) - 1/2 itself, on a bracket that starts at
+    [1e-3, 8] and doubles outward, until the bracket no longer shrinks;
+    it never uses A_STAR or log phi.
+    """
+    lo, hi = 1e-3, 8.0
+    while p_avg(lo, f0) < 0.5:
+        lo /= 2.0
+    while p_avg(hi, f0) > 0.5:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if p_avg(mid, f0) > 0.5:
+            lo = mid
+        else:
+            hi = mid
+
+
 def angular_average(r: float, f0: float) -> AngularAverage:
     """Closed form plus quadrature oracle, for verification surfaces."""
     return AngularAverage(closed_form=p_avg(r, f0),
                           quadrature=p_avg_quadrature(r, f0))
+
+
+# --- validity ----------------------------------------------------------------
+
+def spin_temperature_eta_bisection(mat: MaterialRecord,
+                                   reference_field: float = 1.0) -> float:
+    """Oracle for ``validity.spin_temperature_eta``: solve, do not invert.
+
+    Bisects |d(shift)/dr| * d = hbar gamma I B_L in log r at the reference
+    field, with the derivative of the worst-case shift taken by central
+    differences, then factors out the field dependence r = eta B^(-1/5).
+    """
+    target = HBAR * mat.gamma * mat.spin * mat.local_field
+    d = mat.neighbor_spacing
+
+    def excess(r_m: float) -> float:
+        step = 1e-5 * r_m
+        left = _worst_case_shift(r_m - step, reference_field, mat)
+        right = _worst_case_shift(r_m + step, reference_field, mat)
+        return abs(right - left) / (2.0 * step) * d - target
+
+    lo, hi = 1e-11, 1e-6
+    f_lo, f_hi = excess(lo), excess(hi)
+    if f_lo <= 0.0 or f_hi >= 0.0:
+        raise NumericalError("spin-temperature bracket failed; check record fields")
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)       # bisect in log r; the curve is a power law
+        f_mid = excess(mid)
+        if abs(f_mid) <= 1e-12 * target or hi / lo < 1.0 + 1e-14:
+            return mid * reference_field ** 0.2
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi) * reference_field ** 0.2

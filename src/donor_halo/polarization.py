@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, MaterialError, NumericalError
+from .errors import MaterialError
 from .fields import Geometry, screening_density, screening_fraction
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
-                       power_map)
+                       power_map, power_scale)
 from .materials import MaterialRecord
-from .relaxation import intrinsic_ratio, radial_profile, rates
+from .numerics import as_operand, solve
+from .relaxation import (intrinsic_ratio, radial_profile, radial_profile_inverse,
+                         rates)
 
 #: no-quadrupolar spin-diffusion radius, in a0* units; the diffusion
 #: constant is calibrated so the rate/diffusion balance crosses here
@@ -34,76 +36,79 @@ RHO_D_REFERENCE = 1.4
 _SQRT3 = math.sqrt(3.0)
 
 
-def p_point(r: float, theta: float, f0: float) -> float:
-    """Normalized steady polarization at (r, theta) for ratio amplitude f0."""
-    if not (0.0 < r < math.inf and 0.0 < f0 < math.inf):
-        raise MaterialError("r and f0 must be positive and finite")
-    f = f0 * radial_profile(r) / (1.0 + 3.0 * math.cos(theta) ** 2)
+#: root a* of a / sqrt(3 (1+a)) * atan(sqrt(3 / (1+a))) = 1/2: the sphere
+#: average p_avg depends on r and f0 only through a = f0 * phi(r), so it
+#: crosses one half where f0 * phi(r) = a*, whatever f0 is
+A_STAR = 1.811442418380441
+
+
+def _positive_finite(value, what: str):
+    """value (float or array) as an operand; MaterialError unless 0 < value < inf."""
+    if isinstance(value, float):
+        if 0.0 < value < math.inf:
+            return value
+    else:
+        value = as_operand(value)
+        if np.all((0.0 < value) & (value < math.inf)):
+            return value
+    raise MaterialError(f"{what} must be positive and finite")
+
+
+def _angular_denominator(theta):
+    theta = as_operand(theta)
+    cos = math.cos if isinstance(theta, float) else np.cos
+    return 1.0 + 3.0 * cos(theta) ** 2
+
+
+def p_point(r, theta, f0):
+    """Normalized steady polarization at (r, theta) for ratio amplitude f0.
+
+    Takes floats or arrays (broadcast together).
+    """
+    r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
+    f = f0 * radial_profile(r) / _angular_denominator(theta)
     return f / (1.0 + f)
 
 
-def p_avg(r: float, f0: float) -> float:
+def p_avg(r, f0):
     """Sphere-averaged polarization, closed form.
 
     With a = f0 * phi(r) the average over the solid angle is
-    a / sqrt(3 (1+a)) * arctan(sqrt(3 / (1+a))).
+    a / sqrt(3 (1+a)) * arctan(sqrt(3 / (1+a))).  Takes floats or arrays.
     """
-    if not (0.0 < r < math.inf and 0.0 < f0 < math.inf):
-        raise MaterialError("r and f0 must be positive and finite")
+    r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
     a = f0 * radial_profile(r)
-    root = math.sqrt(1.0 + a)
-    return a / (_SQRT3 * root) * math.atan(_SQRT3 / root)
+    if isinstance(a, float):
+        root = math.sqrt(1.0 + a)
+        return a / (_SQRT3 * root) * math.atan(_SQRT3 / root)
+    root = np.sqrt(1.0 + a)
+    return a / (_SQRT3 * root) * np.arctan(_SQRT3 / root)
 
 
-def _bisect(func: Callable[[float], float], lo: float, hi: float,
-            tol: float, what: str, max_iter: int = 200) -> float:
-    f_lo, f_hi = func(lo), func(hi)
-    if math.isnan(f_lo) or math.isnan(f_hi):
-        raise BracketError(
-            f"{what} undefined at the bracket [{lo}, {hi}]: "
-            f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
-        )
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise BracketError(
-            f"no sign change for {what} on [{lo}, {hi}]: "
-            f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = func(mid)
-        if f_mid == 0.0 or (hi - lo) < tol:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    raise NumericalError(
-        f"{what} did not converge to {tol:g} in {max_iter} bisection steps "
-        f"on [{lo}, {hi}]"
-    )
+def _radius_where(f0, a):
+    """phi^-1(a / f0): the radius where f0 * phi(r) = a."""
+    f0 = _positive_finite(f0, "f0")
+    if isinstance(f0, float) and isinstance(a, float):
+        return radial_profile_inverse(a / f0)
+    with np.errstate(over="ignore"):    # an infinite target is refused as such
+        return radial_profile_inverse(a / f0)
 
 
-def quadrupolar_radius(f0: float, bracket: tuple[float, float] = (1e-3, 8.0),
-                       tol: float = 1e-6) -> float:
+def quadrupolar_radius(f0):
     """Radius where the sphere-averaged polarization crosses one half.
 
-    Unique because the averaged polarization decreases monotonically
-    with distance; found by bracketed bisection to tol (a0* units).
+    That is phi^-1(A_STAR / f0): unique because phi decreases
+    monotonically with distance (a0* units).  Takes a float or an array.
     """
-    return _bisect(lambda r: p_avg(r, f0) - 0.5, bracket[0], bracket[1],
-                   tol, "quadrupolar radius")
+    return _radius_where(f0, A_STAR)
 
 
-def half_polarization_radius(theta: float, f0: float,
-                             bracket: tuple[float, float] = (1e-3, 8.0),
-                             tol: float = 1e-6) -> float:
-    """Radius where p(r, theta) crosses one half along a fixed direction."""
-    return _bisect(lambda r: p_point(r, theta, f0) - 0.5, bracket[0], bracket[1],
-                   tol, "half-polarization radius")
+def half_polarization_radius(theta, f0):
+    """Radius where p(r, theta) crosses one half along a fixed direction.
+
+    That is phi^-1((1 + 3 cos^2 theta) / f0).
+    """
+    return _radius_where(f0, _angular_denominator(theta))
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,9 @@ def profile(f0: float, r_grid: np.ndarray, rho_d: float | None = None) -> Radial
     rho_q = quadrupolar_radius(f0)
     return RadialProfile(
         r_grid=grid,
-        p_parallel=np.array([p_point(r, 0.0, f0) for r in grid]),
-        p_perpendicular=np.array([p_point(r, math.pi / 2.0, f0) for r in grid]),
-        p_avg=np.array([p_avg(r, f0) for r in grid]),
+        p_parallel=p_point(grid, 0.0, f0),
+        p_perpendicular=p_point(grid, math.pi / 2.0, f0),
+        p_avg=p_avg(grid, f0),
         f0=f0,
         rho_q=rho_q,
         s_at_rho_q=screening_fraction(rho_q),
@@ -144,11 +149,9 @@ def radius_sweep(f0_grid: np.ndarray) -> np.ndarray:
 
     Returns an array of shape (n, 3).
     """
-    rows = []
-    for f0 in np.asarray(f0_grid, dtype=float):
-        rho = quadrupolar_radius(float(f0))
-        rows.append((float(f0), rho, screening_fraction(rho)))
-    return np.array(rows)
+    f0 = np.asarray(f0_grid, dtype=float).reshape(-1)
+    rho = quadrupolar_radius(f0)
+    return np.column_stack((f0, rho, screening_fraction(rho)))
 
 
 class NuclearField(NamedTuple):
@@ -232,24 +235,25 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     # cancelled forms keeps the balance finite far outside the orbit
     rate_bohr = _hyperfine_rate(1.0, state, b_field, mat)
 
-    def excess(r: float) -> float:
-        rate = rate_bohr * math.exp(-4.0 * (r - 1.0))
+    def excess(r: np.ndarray) -> np.ndarray:
+        rate = rate_bohr * np.exp(-4.0 * (r - 1.0))
         if include_quadrupolar:
             s = screening_fraction(r)
-            rate += rate_bohr * 2.0 * s * s / (f0 * r ** 4)
+            rate = rate + rate_bohr * 2.0 * s * s / (f0 * r ** 4)
         r_m = r * mat.bohr_radius
         return rate * r_m * r_m - diffusion_constant
 
     grid = np.geomspace(1e-3, r_max, 600)
-    values = np.array([excess(r) for r in grid])
+    values = excess(grid)
     crossings = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if crossings.size == 0 or values[crossings[-1]] <= 0.0:
         # never crosses from relaxation-dominant to diffusion-dominant
         return DiffusionRadius(value=None, has_solution=False)
     left = crossings[-1]
-    root = _bisect(excess, float(grid[left]), float(grid[left + 1]), tol,
-                   "diffusion radius")
-    return DiffusionRadius(value=root, has_solution=True)
+    # excess falls through zero on [grid[left], grid[left + 1]]
+    root = solve(lambda r: -excess(r), grid[left:left + 1], grid[left + 1:left + 2],
+                 what="diffusion radius", done=lambda r, f, lo, hi: hi - lo < tol)
+    return DiffusionRadius(value=float(root[0]), has_solution=True)
 
 
 # --- excitation-power sweep --------------------------------------------------
@@ -289,30 +293,20 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0):
         raise MaterialError("power grid must be 1-D and positive")
     f00 = intrinsic_ratio(mat)
-    p0 = power_map(0.5, mat).p0
-    occ = np.empty_like(grid)
-    nf = np.empty_like(grid)
-    s_rho = np.empty_like(grid)
-    alpha = np.empty_like(grid)
-    for i, p_rel in enumerate(grid):
-        gamma_t = invert_power(p_rel * p0, mat)
-        point = power_map(gamma_t, mat)
-        occ[i] = gamma_t
-        nf[i] = point.free_density
-        if quadrupolar:
-            f0 = f00 / (gamma_t * (1.0 - gamma_t))
-            rho_eff = min(quadrupolar_radius(f0), rho_d)
-        else:
-            rho_eff = rho_d
-        s_rho[i] = screening_fraction(rho_eff)
-        trapped = gamma_t * mat.donor_density
-        alpha[i] = trapped / (point.free_density + trapped) * s_rho[i]
+    occ = invert_power(grid * power_scale(mat), mat)
+    nf = power_map(occ, mat).free_density
+    if quadrupolar:
+        rho_eff = np.minimum(quadrupolar_radius(f00 / (occ * (1.0 - occ))), rho_d)
+    else:
+        rho_eff = np.full_like(grid, rho_d)
+    s_rho = screening_fraction(rho_eff)
+    trapped = occ * mat.donor_density
     return PowerSweep(
         p_over_p0=grid,
         occupancy=occ,
         nf_over_na=nf / mat.acceptor_density,
         s_rho_q=s_rho,
-        alpha_n=alpha,
+        alpha_n=trapped / (nf + trapped) * s_rho,
         diffusion_flag=occ < gamma_min,
         f00=f00,
         rho_d=rho_d,

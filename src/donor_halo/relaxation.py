@@ -15,10 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MaterialError
+import numpy as np
+
+from .errors import BracketError, MaterialError, NumericalError
 from .fields import Geometry, donor_field, hyperfine_field_instant, screening_fraction
 from .kinetics import KineticState, spectral_density
 from .materials import MaterialRecord
+from .numerics import (NEWTON_RESOLUTION, all_true, any_true, as_operand,
+                       expand_bracket, solve)
 
 
 @dataclass(frozen=True)
@@ -92,16 +96,99 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
                       omega_1=omega_1, omega_2=omega_2, omega_h=omega_h, f=f)
 
 
-def radial_profile(r: float) -> float:
+def radial_profile(r):
     """Radial factor e^{-4(r-1)} r^4 / s(r)^2 of the rate ratio (r in a0* units).
 
     Diverges at the donor (the modulated field vanishes faster than the
-    hyperfine one) and decreases monotonically outward.
+    hyperfine one) and decreases monotonically outward.  Takes a float or
+    an array.
     """
-    if r <= 0.0:
+    if not isinstance(r, float):
+        r = as_operand(r)
+    if any_true(r <= 0.0):
         raise MaterialError("radius must be positive")
     s = screening_fraction(r)
-    return math.exp(-4.0 * (r - 1.0)) * r ** 4 / (s * s)
+    exp = math.exp if isinstance(r, float) else np.exp
+    return exp(-4.0 * (r - 1.0)) * r ** 4 / (s * s)
+
+
+def _log_profile_on_log_r(u):
+    """log phi and its slope d log phi / d log r at r = e^u (float or array).
+
+    log phi = 4 - 4r + 4 log r - 2 log s(r); r s'(r) = x^3 e^-x / 2, x = 2r.
+    """
+    exp, log = (math.exp, math.log) if isinstance(u, float) else (np.exp, np.log)
+    r = exp(u)
+    x = 2.0 * r
+    s = screening_fraction(r)
+    return 4.0 - 4.0 * r + 4.0 * u - 2.0 * log(s), 4.0 - 4.0 * r - x * x * x * exp(-x) / s
+
+
+#: phi^-1 starts its search on [1e-3, 8] a0* and widens that as needed
+_LOG_R_BRACKET = (math.log(1e-3), math.log(8.0))
+#: near the donor phi(r) -> (9/16) e^4 / r^2 from above, the first
+#: scalar guess (capped at the top of the starting bracket)
+_SMALL_R_SCALE = 9.0 / 16.0 * math.exp(4.0)
+#: largest target: its root lies near 5e-95 a0*, where s(r) ~ r^3 is still
+#: a normal float; smaller targets have no lower limit (log phi is
+#: evaluated in log form)
+_TARGET_MAX = 1e190
+
+
+def radial_profile_inverse(target):
+    """Radius where phi(r) equals target, for a float or an array of targets.
+
+    phi is strictly decreasing from +inf at the donor to 0 far away, so
+    each positive finite target has one root.  It is found on u = log r,
+    where log phi is smooth, by Newton steps safeguarded by bisection, to
+    a relative error of a few 1e-16 in r.  A float target iterates on
+    floats; an array goes through :func:`donor_halo.numerics.solve` in
+    lockstep, after its bracket has grown to hold every root.
+    """
+    target = as_operand(target)
+    inside = (0.0 < target) & (target <= _TARGET_MAX)
+    if not all_true(inside):
+        bad = target if isinstance(target, float) else target[~inside][0]
+        raise BracketError(f"no radius where phi = {bad}: phi^-1 needs a target "
+                           f"in (0, {_TARGET_MAX:g}]")
+    if isinstance(target, float):
+        return _inverse_float(target)
+    log_t = np.log(target)
+
+    def rising(u):   # log_t - log phi, increasing in u = log r
+        log_phi, slope = _log_profile_on_log_r(u)
+        return log_t - log_phi, -slope
+
+    # a widened bracket end can sit where s(r) underflows; log phi is +inf
+    # there, which still has the right sign
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = expand_bracket(lambda u: rising(u)[0],
+                                np.full(log_t.shape, _LOG_R_BRACKET[0]),
+                                np.full(log_t.shape, _LOG_R_BRACKET[1]), what="phi^-1")
+        return np.exp(solve(rising, lo, hi, what="phi^-1", newton=True))
+
+
+def _inverse_float(target: float) -> float:
+    log_t = math.log(target)
+    lo, hi = -math.inf, math.inf        # u-bracket learned from the signs
+    u = min(0.5 * math.log(_SMALL_R_SCALE / target), _LOG_R_BRACKET[1])
+    for _ in range(100):
+        log_phi, slope = _log_profile_on_log_r(u)
+        g = log_phi - log_t
+        if g != g:
+            raise BracketError(f"phi^-1 undefined at r = {math.exp(u)} for target {target}")
+        if g > 0.0:
+            lo = u
+        else:
+            hi = u
+        step = max(-2.0, min(2.0, g / slope))
+        resolution = NEWTON_RESOLUTION * max(1.0, abs(u))
+        if abs(step) <= resolution or hi - lo <= resolution:
+            return math.exp(u - step)
+        u -= step
+        if not lo < u < hi:          # Newton left a bracket with both ends known
+            u = 0.5 * (lo + hi)
+    raise NumericalError(f"phi^-1 did not converge for target {target}")
 
 
 def intrinsic_ratio(mat: MaterialRecord) -> float:

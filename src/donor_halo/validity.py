@@ -59,39 +59,27 @@ class SpinTemperatureLimit:
 
 
 def spin_temperature_eta(mat: MaterialRecord, reference_field: float = 1.0) -> float:
-    """Power-law prefactor of the spin-temperature radius.
+    """Power-law prefactor of the spin-temperature radius, in closed form.
 
-    Solves |d(shift)/dr| * d = hbar gamma I B_L at the reference field for
-    the radius where neighboring same-isotope nuclei (spacing d, taken
-    along the radial worst case) can still flip-flop, then factors out
-    the field dependence: r = eta * B^(-1/5).  The derivative of the
-    worst-case shift is evaluated numerically.
+    The worst-case shift is C / r^4 with C = |shift(r)| r^4 independent of
+    r, so the condition |d(shift)/dr| * d = hbar gamma I B_L for
+    neighboring same-isotope nuclei (spacing d, taken along the radial
+    worst case) holds at r = (4 C d / (hbar gamma I B_L))^(1/5).  The
+    shift scales as 1/B, so r = eta * B^(-1/5) with eta independent of the
+    reference field.  ``oracles.spin_temperature_eta_bisection`` solves
+    the same condition numerically.
     """
     if mat.spin < 1.0:
         raise MaterialError("spin-temperature limit needs a quadrupolar nucleus")
     target = HBAR * mat.gamma * mat.spin * mat.local_field
-    d = mat.neighbor_spacing
-
-    def excess(r_m: float) -> float:
-        step = 1e-5 * r_m
-        left = _worst_case_shift(r_m - step, reference_field, mat)
-        right = _worst_case_shift(r_m + step, reference_field, mat)
-        return abs(right - left) / (2.0 * step) * d - target
-
-    lo, hi = 1e-11, 1e-6
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise NumericalError("spin-temperature bracket failed; check record fields")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)       # bisect in log r; the curve is a power law
-        f_mid = excess(mid)
-        if abs(f_mid) <= 1e-12 * target or hi / lo < 1.0 + 1e-14:
-            return mid * reference_field ** 0.2
-        if f_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi) * reference_field ** 0.2
+    r_m = mat.bohr_radius
+    c = abs(_worst_case_shift(r_m, reference_field, mat)) * r_m ** 4
+    ratio = 4.0 * c * mat.neighbor_spacing / target if target > 0.0 else math.inf
+    eta = ratio ** 0.2 * reference_field ** 0.2
+    if not 0.0 < eta < math.inf:
+        raise NumericalError("spin-temperature radius is out of float range; "
+                             "check record fields")
+    return eta
 
 
 def spin_temperature_limit(b_field: float, mat: MaterialRecord,

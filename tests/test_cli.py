@@ -146,8 +146,8 @@ def test_usage_errors(capsys):
 
 
 def test_numeric_error_exit_code(capsys):
-    # an absurd competition amplitude leaves no half-polarization bracket
-    assert run_cli("profile", "--f0", "1e12")[0] == 3
+    # A_STAR / f0 overflows, so no radius has that phi in floats
+    assert run_cli("profile", "--f0", "1e-310")[0] == 3
 
 
 def test_verify_single_suite(capsys):
@@ -243,3 +243,33 @@ def test_config_rejects_bad_option_value(tmp_path, capsys):
     code, err = run_cli_err("profile", "--config", str(config), capsys=capsys)
     assert code == 2
     assert err == "donor-halo: bad value for f0: 'abc'\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "radius", "power"])
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_points_below_one_rejected(command, points, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err(command, "--points", points, "--out", str(out), capsys=capsys)
+    assert code == 2
+    assert err == f"donor-halo: points must be at least 1, got {points}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f0_min, f0_max", [("1e-12", "1e-10"), ("1e9", "1e10")])
+def test_radius_outside_the_starting_bracket(f0_min, f0_max, tmp_path, capsys):
+    # both ranges put rho_q outside [1e-3, 8] a0*; they used to exit 3
+    out = tmp_path / "radius.csv"
+    code, err = run_cli_err("radius", "--f0-min", f0_min, "--f0-max", f0_max,
+                            "--points", "3", "--out", str(out), capsys=capsys)
+    assert code == 0 and err == ""
+    _, _, data = read_csv(out)
+    assert data.shape == (3, 3) and np.all(np.isfinite(data))
+    assert np.all(np.diff(data[:, 1]) > 0.0)
+
+
+def test_validity_out_of_float_range_exits_3(capsys):
+    # hbar gamma I B_L underflows to 0, so the spin-temperature radius has
+    # no float value; that must stay a one-line numerical failure
+    code, err = run_cli_err("validity", "--set", "local_field=1e-300", capsys=capsys)
+    assert code == 3
+    assert err.startswith("donor-halo: numerical failure:") and len(err.splitlines()) == 1

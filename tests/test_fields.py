@@ -10,6 +10,7 @@ from donor_halo import (Geometry, MaterialError, MissingParameterError, Radius,
                         screening_fraction)
 from donor_halo.fields import field_direction, screening_density
 from donor_halo.materials import E_CHARGE, EPSILON_0, HBAR
+from donor_halo.oracles import screening_cdf_quadrature
 
 
 def test_screening_at_bohr_radius():
@@ -29,6 +30,27 @@ def test_screening_is_its_own_cdf():
     for r in (0.1, 0.3, 0.9, 1.7, 4.0):
         integral, _ = quad(screening_density, 0.0, r, epsabs=1e-13, epsrel=1e-13)
         assert integral == pytest.approx(screening_fraction(r), abs=1e-10)
+
+
+def test_screening_keeps_its_digits_near_the_donor():
+    # 1 - (1 + x + x^2/2) e^-x cancels at small x: 7.6e-5 relative error
+    # at r = 1e-6 and all digits at 1e-8 before the series took over there
+    radii = np.geomspace(1e-8, 10.0, 181)
+    values = screening_fraction(radii)
+    for r, value in zip(radii, values):
+        oracle = screening_cdf_quadrature(float(r))
+        assert abs(value - oracle) <= 1e-13 * oracle, r
+        assert screening_fraction(float(r)) == pytest.approx(value, rel=1e-15, abs=0.0)
+    # the two forms meet at x = 2r = 1 without a step
+    edge = np.array([0.5 * (1.0 - 1e-15), 0.5, 0.5 * (1.0 + 1e-15)])
+    assert np.all(np.diff(screening_fraction(edge)) >= 0.0)
+
+
+def test_screening_rejects_negative_radius():
+    with pytest.raises(MaterialError):
+        screening_fraction(-1e-3)
+    with pytest.raises(MaterialError):
+        screening_fraction(np.array([0.1, -1e-3]))
 
 
 def test_coulomb_field_value_and_scaling(gaas):

@@ -1,7 +1,8 @@
 """Production imports and non-verify commands must not load scipy.
 
 scipy is used only by ``verify``, ``nuclear_field`` and the oracles; it
-costs most of a cold start.  The check runs in a fresh interpreter and
+costs most of a cold start.  The ``radius`` and ``profile`` commands run
+the root finder, where a scipy solver would be the easy thing to reach for.  The check runs in a fresh interpreter and
 looks at module names, not at wall time, so it does not depend on the
 speed of the host.
 """
@@ -35,6 +36,10 @@ assert donor_halo.cli.main(["materials"]) == 0
 step("cli.main(['materials'])")
 assert donor_halo.cli.main(["power", "--out", sys.argv[1]]) == 0
 step("cli.main(['power', '--out', PATH])")
+assert donor_halo.cli.main(["radius", "--f0-min", "1e-12", "--out", sys.argv[1]]) == 0
+step("cli.main(['radius', '--f0-min', '1e-12', '--out', PATH])")
+assert donor_halo.cli.main(["profile", "--points", "300", "--out", sys.argv[1]]) == 0
+step("cli.main(['profile', '--points', '300', '--out', PATH])")
 print("ok")
 """
 
@@ -42,8 +47,8 @@ print("ok")
 def test_no_scipy_on_production_import_path(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path / "power.csv")],
+    result = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path / "out.csv")],
                             capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
-    assert (tmp_path / "power.csv").read_text().startswith("# donor-halo")
+    assert (tmp_path / "out.csv").read_text().startswith("# donor-halo")

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from donor_halo import (BracketError, MaterialError, NumericalError,
-                        calibrate_diffusion, diffusion_radius,
+from donor_halo import (BracketError, MaterialError, calibrate_diffusion, diffusion_radius,
                         half_polarization_radius, nuclear_field, p_avg, p_point,
                         power_sweep, profile, quadrupolar_radius, radius_sweep,
                         screening_fraction, state_for_occupancy)
 from donor_halo.kinetics import power_scale
 from donor_halo.oracles import angular_average, p_avg_quadrature
-from donor_halo.polarization import FIELD_INTEGRAL_UPPER, RHO_D_REFERENCE, _bisect
+from donor_halo.polarization import FIELD_INTEGRAL_UPPER, RHO_D_REFERENCE
 from donor_halo.relaxation import radial_profile
 
 
@@ -63,9 +62,21 @@ def test_quadrupolar_radius_monotone():
     assert np.all(np.diff(table[:, 2]) > 0.0)
 
 
-def test_quadrupolar_radius_no_bracket():
-    with pytest.raises(BracketError):
-        quadrupolar_radius(1e10)
+def test_quadrupolar_radius_grows_its_bracket():
+    # the root lies outside the starting bracket [1e-3, 8] at both ends;
+    # it used to raise BracketError there
+    far = quadrupolar_radius(1e10)
+    assert far == pytest.approx(8.7805, abs=1e-4)
+    near = quadrupolar_radius(1e-12)
+    assert near < 1e-3
+    for rho, f0 in ((far, 1e10), (near, 1e-12)):
+        assert p_avg(rho * (1 - 1e-9), f0) > 0.5 > p_avg(rho * (1 + 1e-9), f0)
+    table = radius_sweep(np.array([1e-12, 1e-2, 1e10]))
+    assert table[:, 1] == pytest.approx([near, quadrupolar_radius(1e-2), far], rel=1e-12)
+    # below f0 ~ 1.8e-190 the root would sit where s(r) ~ r^3 underflows
+    for f0 in (1e-200, np.array([1e-2, 1e-200])):
+        with pytest.raises(BracketError, match="phi\\^-1 needs a target"):
+            quadrupolar_radius(f0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -87,21 +98,6 @@ def test_radius_rejects_non_finite_f0(bad):
         quadrupolar_radius(bad)
     with pytest.raises(MaterialError):
         radius_sweep(np.array([bad, 0.1]))
-
-
-def test_bisect_rejects_nan_at_bracket():
-    with pytest.raises(BracketError, match="undefined at the bracket"):
-        _bisect(lambda x: math.nan, 0.0, 1.0, 1e-6, "test root")
-    with pytest.raises(BracketError, match="undefined at the bracket"):
-        _bisect(lambda x: -1.0 if x < 0.5 else math.nan, 0.0, 1.0, 1e-6, "test root")
-
-
-def test_bisect_raises_when_out_of_iterations():
-    with pytest.raises(NumericalError, match="did not converge") as err:
-        _bisect(lambda x: x - 0.3, 0.0, 1.0, 1e-12, "test root", max_iter=5)
-    assert not isinstance(err.value, BracketError)
-    assert _bisect(lambda x: x - 0.3, 0.0, 1.0, 1e-12, "test root") == \
-        pytest.approx(0.3, abs=1e-12)
 
 
 def test_radius_sweep_single_point():

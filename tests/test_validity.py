@@ -83,3 +83,19 @@ def test_report_renders_all_fields(gaas):
     text = render_report(build_report(1.0, 0.5, state, Geometry(), gaas), gaas)
     for token in ("B_L", "B_Q", "eta", "narrowed", "flip-flop"):
         assert token in text
+
+
+def test_eta_closed_form_matches_bisection_oracle():
+    from donor_halo import get_material, list_materials
+    from donor_halo.oracles import spin_temperature_eta_bisection
+    checked = 0
+    for name in list_materials():
+        mat = get_material(name)
+        if mat.spin < 1.0:
+            continue
+        for field in (1.0, 0.3):
+            closed = spin_temperature_eta(mat, field)
+            oracle = spin_temperature_eta_bisection(mat, field)
+            assert abs(closed - oracle) <= 1e-9 * oracle, (name, field)
+        checked += 1
+    assert checked == len(list_materials())
