@@ -27,7 +27,7 @@ print()
 print(f"{'lag':>6} {'simulated':>11} {'exact':>11} {'pull (sigma)':>12}")
 for k in range(0, 16, 3):
     lag = est.lag_times[k]
-    exact = telegraph_correlation(lag, OCC, SCREEN, TAU_OCC, TAU_EMPTY).g_analytic
+    exact = telegraph_correlation(lag, OCC, SCREEN, TAU_OCC, TAU_EMPTY)
     pull = (est.acf[k] - exact) / est.acf_se[k] if est.acf_se[k] > 0 else 0.0
     print(f"{lag:>6.2f} {est.acf[k]:>11.6f} {exact:>11.6f} {pull:>12.2f}")
 

@@ -8,15 +8,16 @@ around the donor and with it the nuclear field acting back on the
 electrons.  This package computes the relaxation rates, the steady
 polarization profiles and radii, the nuclear-field-versus-power curves,
 and the validity diagnostics of that picture, with brute-force oracles
-for every closed form it uses.
+for every closed form it uses in :mod:`donor_halo.oracles` (not
+re-exported here, since it loads scipy).
 """
 
 from .errors import (BracketError, DonorHaloError, MaterialError,
                      MissingParameterError, NonPerturbativeRegimeError,
                      NumericalError)
 from .fields import (EfgComponents, FieldPoint, Geometry, Radius, coulomb_field,
-                     donor_field, efg_rotation_oracle, efg_transform,
-                     hyperfine_field_instant, screening_fraction)
+                     donor_field, efg_transform, hyperfine_field_instant,
+                     screening_fraction)
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, TelegraphEstimate,
                        gamma_ceiling, invert_power, occupancy, power_closed_form,
                        power_map, simulate_telegraph, spectral_density,
@@ -32,7 +33,7 @@ from .relaxation import (CompetitionFactors, RateBundle, competition,
                          intrinsic_ratio, radial_profile, rates)
 from .spin_algebra import (SpinMatrices, angular_factor, bq_local_field,
                            build_hq_general, build_spin_operators, level_shift,
-                           redfield_rate, redfield_rate_analytic)
+                           redfield_rate_analytic)
 from .validity import (RegimeReport, build_report, local_fields, motional_regime,
                        render_report, spin_temperature_limit)
 

@@ -33,7 +33,7 @@ from . import __version__, kinetics, polarization, svgplot, validity
 from .errors import DonorHaloError, MaterialError, NumericalError
 from .fields import Geometry
 from .materials import (MaterialRecord, coerce_field, dump_record, get_material,
-                        list_materials)
+                        key_value_lines, list_materials)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,18 +117,8 @@ def _load_config(path: str) -> dict[str, str]:
         raise MaterialError(f"cannot read config {path}: {exc}") from exc
     # registry-style file: optional [run] (or any single block) header,
     # key = value lines, '#' comments
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            continue
-        if "=" not in line:
-            raise MaterialError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
+    return {key: value for _, header, key, value in key_value_lines(text, path)
+            if header is None}
 
 
 def _resolve_material(args: argparse.Namespace,
@@ -164,6 +154,15 @@ def _option(args: argparse.Namespace, config: dict[str, str], key: str,
         return default
     if isinstance(value, float) and not math.isfinite(value):
         raise MaterialError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _grid_end(args: argparse.Namespace, config: dict[str, str], key: str,
+              default: float) -> float:
+    """An end of a logarithmic grid, which must be positive."""
+    value = _option(args, config, key, default)
+    if value <= 0.0:
+        raise MaterialError(f"{key} must be positive, got {value}")
     return value
 
 
@@ -250,8 +249,8 @@ def _cmd_profile(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 def _cmd_radius(args: argparse.Namespace, config: dict[str, str]) -> int:
     mat, overrides = _resolve_material(args, config)
-    f0_min = _option(args, config, "f0-min", 1e-4)
-    f0_max = _option(args, config, "f0-max", 1.0)
+    f0_min = _grid_end(args, config, "f0-min", 1e-4)
+    f0_max = _grid_end(args, config, "f0-max", 1.0)
     points = _points(args, config, 25)
     fmt = _option(args, config, "format", "csv", str)
     table = polarization.radius_sweep(np.geomspace(f0_min, f0_max, points))
@@ -274,8 +273,8 @@ def _cmd_radius(args: argparse.Namespace, config: dict[str, str]) -> int:
 
 def _cmd_power(args: argparse.Namespace, config: dict[str, str]) -> int:
     mat, overrides = _resolve_material(args, config)
-    p_min = _option(args, config, "p-min", 0.1)
-    p_max = _option(args, config, "p-max", 100.0)
+    p_min = _grid_end(args, config, "p-min", 0.1)
+    p_max = _grid_end(args, config, "p-max", 100.0)
     points = _points(args, config, 31)
     fmt = _option(args, config, "format", "csv", str)
     quad_on = not args.no_quadrupolar

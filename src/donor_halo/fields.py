@@ -4,9 +4,9 @@ The ionized donor produces a Coulomb field that the trapped electron
 screens; the screening fraction ``s(r)`` is the fraction of the 1s
 orbital charge enclosed within radius r.  For a zincblende host the
 field couples to the nuclear quadrupole moment through a single
-third-rank tensor component, and this module carries both the
-closed-form frame transformation of that tensor and a brute-force
-numerical rotation used to validate it.
+third-rank tensor component, and this module carries the closed-form
+frame transformation of that tensor (``oracles.efg_transform_rotation``
+rotates the tensor numerically to check it).
 
 Radial arguments are plain floats in units of the effective Bohr
 radius; pass a :class:`Radius` to supply metres explicitly.  All
@@ -214,24 +214,6 @@ def efg_transform(e_field: np.ndarray, geometry: Geometry, r14: float) -> EfgCom
         xz=r14 * (c2t * sp * ex + c2t * cp * ey + 0.5 * s2t * s2p * ez),
         xy=r14 * (-st * cp * ex + st * sp * ey + ct * c2p * ez),
     )
-
-
-def efg_rotation_oracle(e_field: np.ndarray, geometry: Geometry, r14: float) -> EfgComponents:
-    """Brute-force check: rotate the third-rank tensor numerically.
-
-    Builds the cubic tensor T_ijk (r14 on all-distinct index triples),
-    rotates it into the field frame, contracts with the rotated field,
-    and reads off the same six components as :func:`efg_transform`.
-    """
-    rot = rotation_to_field_frame(geometry.theta_b, geometry.phi_b)
-    tensor = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        tensor[i, j, k] = r14
-    rotated = np.einsum("ai,bj,ck,ijk->abc", rot, rot, rot, tensor)
-    e_primed = rot @ np.asarray(e_field, dtype=float)
-    v = np.einsum("abc,c->ab", rotated, e_primed)
-    return EfgComponents(xx=v[0, 0], yy=v[1, 1], zz=v[2, 2],
-                         yz=v[1, 2], xz=v[0, 2], xy=v[0, 1])
 
 
 def field_direction(theta: float, phi: float) -> np.ndarray:

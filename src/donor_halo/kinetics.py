@@ -112,11 +112,6 @@ def telegraph_amplitude(occ: float, screening: float) -> float:
     return (1.0 - occ) * h_empty ** 2 + occ * h_occ ** 2
 
 
-class TelegraphCorrelation(NamedTuple):
-    g_analytic: float
-    p_matrix: np.ndarray   # conditional probabilities, state order [empty, occupied]
-
-
 def telegraph_p_matrix(tau: float, tau_occupied: float, tau_empty: float) -> np.ndarray:
     """Closed-form conditional probabilities of the two-state process.
 
@@ -135,31 +130,20 @@ def telegraph_p_matrix(tau: float, tau_occupied: float, tau_empty: float) -> np.
 
 def telegraph_correlation(tau: float, occ: float, screening: float,
                           tau_occupied: float, tau_empty: float,
-                          rtol: float = 1e-9) -> TelegraphCorrelation:
+                          rtol: float = 1e-9) -> float:
     """Exact autocorrelation of the field modulation at lag tau.
 
     The supplied occupancy must match tau_occupied/(tau_occupied+tau_empty).
     """
+    if min(tau_occupied, tau_empty) <= 0.0:
+        raise MaterialError("dwell times must be positive")
     implied = tau_occupied / (tau_occupied + tau_empty)
     if abs(implied - occ) > rtol * max(occ, implied, 1e-300):
         raise MaterialError(
             f"inconsistent occupancy: given {occ}, dwell times imply {implied}"
         )
     amplitude = telegraph_amplitude(occ, screening)
-    decay = math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
-    return TelegraphCorrelation(
-        g_analytic=amplitude * decay,
-        p_matrix=telegraph_p_matrix(tau, tau_occupied, tau_empty),
-    )
-
-
-def correlation_from_conditionals(tau: float, occ: float, screening: float,
-                                  tau_occupied: float, tau_empty: float) -> float:
-    """Reconstruct the correlation as sum_ab h_a w_a h_b P_ab(tau)."""
-    h = np.array(telegraph_values(occ, screening))        # [empty, occupied]
-    w = np.array([1.0 - occ, occ])
-    p = telegraph_p_matrix(tau, tau_occupied, tau_empty)
-    return float((h * w) @ p @ h)
+    return amplitude * math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
 
 
 def hyperfine_correlation_amplitude(occ: float) -> float:
@@ -395,54 +379,34 @@ def power_closed_form(gamma_t: float, mat: MaterialRecord) -> float:
     return power_scale(mat) * (gamma_t + xi * ratio) / (1.0 - xi) ** 2
 
 
-def balance_residuals(gamma_t: float, mat: MaterialRecord) -> dict[str, float]:
-    """Relative residuals of the raw steady-state balance equations.
-
-    Returns the trapping balance (capture feeding the donors vs their
-    recombination, with the recombination time tied to the hole
-    population) and the free-electron budget against g = P/(L h_nu).
-    Both vanish to rounding for the exact map.
-    """
-    point = power_map(gamma_t, mat)
-    n_f = point.free_density
-    capture = mat.sigma_capture * mat.velocity
-    holes = mat.acceptor_density + n_f + gamma_t * mat.donor_density
-    recombination_rate = mat.bimolecular_k * holes        # 1/tau_r at this power
-    trap_in = capture * (1.0 - gamma_t) * mat.donor_density * n_f
-    trap_out = gamma_t * mat.donor_density * recombination_rate
-    generation = point.power / (mat.diffusion_length * mat.photon_energy)
-    budget = n_f * ((capture * (1.0 - gamma_t) + mat.bimolecular_k * gamma_t)
-                    * mat.donor_density
-                    + mat.bimolecular_k * (n_f + mat.acceptor_density))
-    return {
-        "trapping": abs(trap_in - trap_out) / trap_out,
-        "generation": abs(generation - budget) / budget,
-    }
-
-
 def invert_power(power, mat: MaterialRecord, rtol: float = 1e-10,
                  max_iter: int = 200):
     """Occupancy sustained by a given power density (bisection).
 
     The power map is strictly increasing on (0, gamma_ceiling) and onto
-    (0, inf), so the bisection always converges.  Beyond the top of the
-    bracket the occupancy sits on its asymptotic plateau, and the top is
-    returned.  Takes a float, bisected on floats, or an array, bisected
-    in lockstep by :func:`donor_halo.numerics.solve` through the same
-    midpoints, so both give identical occupancies.
+    (0, inf), so the bisection always converges.  A power below the one
+    at the floor of the bracket, occupancy 1e-16, raises BracketError.
+    Beyond the top of the bracket the occupancy sits on its asymptotic
+    plateau, and the top is returned.  Takes a float, bisected on floats,
+    or an array, bisected in lockstep by
+    :func:`donor_halo.numerics.solve` through the same midpoints, so both
+    give identical occupancies.
     """
     power = as_operand(power)
-    if any_true(power <= 0.0):
+    if not all_true(power > 0.0):
         raise MaterialError("power must be positive")
-    ceiling = gamma_ceiling(mat)
-    lo, hi = 1e-16, ceiling * (1.0 - 1e-14)
-    resolved = 4.0 * sys.float_info.epsilon * ceiling
+    lo, hi = 1e-16, gamma_ceiling(mat) * (1.0 - 1e-14)
+    resolved = 4.0 * sys.float_info.epsilon      # bracket width relative to hi
+    floor = power_map(lo, mat).power
+    if any_true(power < floor):
+        raise BracketError(f"power {np.min(power):.6g} W/m^2 is below {floor:.6g} W/m^2, "
+                           f"which sustains occupancy {lo:g}")
     if not isinstance(power, float):
         tol = rtol * power
         occ = solve(lambda g: power_map(g, mat).power - power,
                     np.full(power.shape, lo), np.full(power.shape, hi),
                     what="power inversion", max_iter=max_iter,
-                    done=lambda g, f, lo, hi: (np.abs(f) <= tol) | (hi - lo <= resolved))
+                    done=lambda g, f, lo, hi: (np.abs(f) <= tol) | (hi - lo <= resolved * hi))
         return np.where(power_map(hi, mat).power < power, hi, occ)
     if power_map(hi, mat).power < power:
         return hi             # asymptotic plateau beyond any finite bracket
@@ -451,7 +415,7 @@ def invert_power(power, mat: MaterialRecord, rtol: float = 1e-10,
         value = power_map(mid, mat).power
         if abs(value - power) <= rtol * power:
             return mid
-        if hi - lo <= resolved:
+        if hi - lo <= resolved * hi:
             # occupancy resolved to machine precision; near the ceiling
             # pole the power tolerance itself is unreachable in floats
             return mid

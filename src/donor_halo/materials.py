@@ -161,6 +161,29 @@ _FLOAT_FIELDS = {
 _STRING_FIELDS = {"host", "isotope", "note"}
 
 
+def key_value_lines(text: str, source: str, require_block: bool = False):
+    """(lineno, header, key, value) per line of ``[block]`` / ``key = value`` text.
+
+    A ``[name]`` line gives (lineno, name, None, None), a ``key = value``
+    line (lineno, None, key, value); blanks and ``#`` comments are skipped.
+    """
+    in_block = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            in_block = True
+            yield lineno, line[1:-1].strip(), None, None
+            continue
+        if require_block and not in_block:
+            raise MaterialError(f"{source}:{lineno}: key outside any [record] block")
+        if "=" not in line:
+            raise MaterialError(f"{source}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, None, key, value
+
+
 def parse_registry(text: str, source: str = "<registry>") -> dict[str, MaterialRecord]:
     """Parse ``[name]`` / ``key = value`` blocks into records.
 
@@ -184,23 +207,15 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, MaterialR
         records[current] = MaterialRecord(name=current, **pending)  # type: ignore[arg-type]
         current, pending = None, {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
+    for lineno, header, key, value in key_value_lines(text, source, require_block=True):
+        if header is not None:
             flush()
-            current = line[1:-1].strip()
+            current = header
             if not current:
                 raise MaterialError(f"{source}:{lineno}: empty record name")
             if current in records:
                 raise MaterialError(f"{source}:{lineno}: duplicate record [{current}]")
             continue
-        if current is None:
-            raise MaterialError(f"{source}:{lineno}: key outside any [record] block")
-        if "=" not in line:
-            raise MaterialError(f"{source}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
         if key == "name":
             raise MaterialError(f"{source}:{lineno}: 'name' is set by the block header")
         if key in _STRING_FIELDS:

@@ -15,7 +15,6 @@ widens brackets that do not yet hold their root.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np

@@ -1,27 +1,29 @@
-"""Brute-force oracles backed by scipy.
+"""Brute-force oracles, each named after the closed form it checks.
 
 Each function here recomputes a closed form of the package by an
-independent numerical route (adaptive quadrature, matrix exponential,
-bisection),
-for the verification suites and the tests.  This is the only module that
-imports scipy at top level, so production imports (``donor_halo``, the
-CLI commands other than ``verify``) never load it.
+independent numerical route (quadrature, matrix algebra, bisection), for
+the verification suites and the tests.  It imports scipy at top level, so
+production imports (``donor_halo``, the CLI commands other than
+``verify``) never load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 from .errors import MaterialError, NumericalError
-from .fields import screening_density
+from .fields import (EfgComponents, Geometry, donor_field, rotation_to_field_frame,
+                     screening_density)
+from .kinetics import power_map, telegraph_p_matrix, telegraph_values
 from .materials import HBAR, MaterialRecord
 from .polarization import p_avg
 from .relaxation import radial_profile
+from .spin_algebra import (_perturbative_terms, build_hq_axial,
+                           build_quadrupole_operators, build_spin_operators)
 from .validity import _worst_case_shift
 
 
@@ -29,6 +31,71 @@ def screening_cdf_quadrature(r: float, tol: float = 1e-13) -> float:
     """Quadrature oracle for ``fields.screening_fraction``: int_0^r s'(u) du."""
     value, _ = quad(screening_density, 0.0, r, epsabs=tol, epsrel=tol)
     return value
+
+
+def efg_transform_rotation(e_field: np.ndarray, geometry: Geometry,
+                           r14: float) -> EfgComponents:
+    """Oracle for ``fields.efg_transform``: rotate the cubic tensor T_ijk numerically."""
+    rot = rotation_to_field_frame(geometry.theta_b, geometry.phi_b)
+    tensor = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        tensor[i, j, k] = r14
+    rotated = np.einsum("ai,bj,ck,ijk->abc", rot, rot, rot, tensor)
+    e_primed = rot @ np.asarray(e_field, dtype=float)
+    v = np.einsum("abc,c->ab", rotated, e_primed)
+    return EfgComponents(xx=v[0, 0], yy=v[1, 1], zz=v[2, 2],
+                         yz=v[1, 2], xz=v[0, 2], xy=v[0, 1])
+
+
+# --- spin algebra ------------------------------------------------------------
+
+def angular_factor_trace(k: int, theta: float, spin: float) -> float:
+    """Trace oracle for ``spin_algebra.angular_factor``: unit J in channel k only."""
+    return redfield_rate_superoperator(spin, theta, float(k == 1), float(k == 2))
+
+
+def bq_local_field_trace(r: float, occupancy: float, geometry: Geometry,
+                         mat: MaterialRecord) -> float:
+    """Trace oracle for ``spin_algebra.bq_local_field``, on the built H_Q."""
+    spin = mat.spin
+    f0q = donor_field(r, occupancy, mat).f0q
+    h = build_hq_axial(f0q, geometry.theta, geometry.phi, spin)
+    tr_h2 = float(np.trace(h @ h).real)
+    norm = spin * (spin + 1.0) * (2.0 * spin + 1.0) * (mat.gamma * HBAR) ** 2
+    return math.sqrt(3.0 * tr_h2 / norm)
+
+
+def level_shift_diagonalization(m: float, b_field: float, r: float, geometry: Geometry,
+                                occupancy: float, mat: MaterialRecord) -> float:
+    """Exact-diagonalization oracle for ``spin_algebra.level_shift``, with its guards.
+
+    Eigenvalues match levels by adiabatic continuation from the high-field
+    ordering, which is only trustworthy in the perturbative regime.
+    """
+    _, zeeman_quantum, h_q = _perturbative_terms(m, b_field, r, geometry, occupancy, mat)
+    h = -zeeman_quantum * build_spin_operators(mat.spin).iz + h_q
+    eigenvalues = np.linalg.eigvalsh(h)          # ascending <=> m descending
+    index = int(round(mat.spin - m))
+    return float(eigenvalues[index] + zeeman_quantum * m)
+
+
+def redfield_rate_superoperator(spin: float, theta: float, j1: float, j2: float) -> float:
+    """Superoperator oracle for ``spin_algebra.redfield_rate_analytic``.
+
+    d<Iz>/dt / <Iz> at t = 0 under sum_k J_k [A_k, [A_k+, .]] applied to
+    sigma ~ Iz, with the coupling prefactor taken as one angular frequency.
+    """
+    ops = build_spin_operators(spin)
+    quad_ops = build_quadrupole_operators(theta, 0.0, spin)
+    sigma = ops.iz     # deviation from equilibrium, arbitrary scale
+    total = np.zeros_like(sigma)
+    for a, a_dag, j in ((quad_ops.a1, quad_ops.a1_dag, j1),
+                        (quad_ops.a2, quad_ops.a2_dag, j2)):
+        inner = a_dag @ sigma - sigma @ a_dag
+        total = total + j * (a @ inner - inner @ a)
+    flow = float(np.trace(ops.iz @ total).real)
+    norm = float(np.trace(ops.iz @ ops.iz).real)
+    return flow / norm
 
 
 # --- kinetics ----------------------------------------------------------------
@@ -40,6 +107,15 @@ def telegraph_p_matrix_expm(tau: float, tau_occupied: float, tau_empty: float) -
         [1.0 / tau_occupied, -1.0 / tau_occupied],
     ])
     return expm(generator * abs(tau))
+
+
+def telegraph_correlation_conditionals(tau: float, occ: float, screening: float,
+                                       tau_occupied: float, tau_empty: float) -> float:
+    """Oracle for ``kinetics.telegraph_correlation``: sum_ab h_a w_a h_b P_ab(tau)."""
+    h = np.array(telegraph_values(occ, screening))        # [empty, occupied]
+    w = np.array([1.0 - occ, occ])
+    p = telegraph_p_matrix(tau, tau_occupied, tau_empty)
+    return float((h * w) @ p @ h)
 
 
 def spectral_density_quadrature(omega: float, amplitude: float, tau_c: float) -> float:
@@ -59,12 +135,30 @@ def spectral_density_quadrature(omega: float, amplitude: float, tau_c: float) ->
     return 2.0 * amplitude * tau_c * value
 
 
+def power_map_residuals(gamma_t: float, mat: MaterialRecord) -> dict[str, float]:
+    """Relative residuals of ``kinetics.power_map`` in the raw balance equations.
+
+    Trapping (capture vs recombination) and the free-electron budget
+    against g = P/(L h_nu); both vanish to rounding for the exact map.
+    """
+    point = power_map(gamma_t, mat)
+    n_f = point.free_density
+    capture = mat.sigma_capture * mat.velocity
+    holes = mat.acceptor_density + n_f + gamma_t * mat.donor_density
+    recombination_rate = mat.bimolecular_k * holes        # 1/tau_r at this power
+    trap_in = capture * (1.0 - gamma_t) * mat.donor_density * n_f
+    trap_out = gamma_t * mat.donor_density * recombination_rate
+    generation = point.power / (mat.diffusion_length * mat.photon_energy)
+    budget = n_f * ((capture * (1.0 - gamma_t) + mat.bimolecular_k * gamma_t)
+                    * mat.donor_density
+                    + mat.bimolecular_k * (n_f + mat.acceptor_density))
+    return {
+        "trapping": abs(trap_in - trap_out) / trap_out,
+        "generation": abs(generation - budget) / budget,
+    }
+
+
 # --- polarization ------------------------------------------------------------
-
-class AngularAverage(NamedTuple):
-    closed_form: float
-    quadrature: float
-
 
 def p_avg_quadrature(r: float, f0: float) -> float:
     """Adaptive-quadrature oracle for ``polarization.p_avg`` (independent of it)."""
@@ -98,12 +192,6 @@ def quadrupolar_radius_bisection(f0: float) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def angular_average(r: float, f0: float) -> AngularAverage:
-    """Closed form plus quadrature oracle, for verification surfaces."""
-    return AngularAverage(closed_form=p_avg(r, f0),
-                          quadrature=p_avg_quadrature(r, f0))
 
 
 # --- validity ----------------------------------------------------------------

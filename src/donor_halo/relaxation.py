@@ -23,6 +23,7 @@ from .kinetics import KineticState, spectral_density
 from .materials import MaterialRecord
 from .numerics import (NEWTON_RESOLUTION, all_true, any_true, as_operand,
                        expand_bracket, solve)
+from .spin_algebra import angular_factor, transition_moment
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,6 @@ class CompetitionFactors:
     f: float                    # full ratio f0 * radial / angular_denominator
 
 
-def transition_moment(spin: float) -> float:
-    """Spin factor 4 I (I+1) - 3 common to both quadrupolar channels."""
-    return 4.0 * spin * (spin + 1.0) - 3.0
-
-
 def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
           mat: MaterialRecord, *, nuclear_field: float = 0.0,
           electron_spin_sign: int = +1) -> RateBundle:
@@ -71,15 +67,12 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
         raise MaterialError("b_field must be non-negative")
     occ = state.occupancy
     point = donor_field(r, occ, mat)
-    moment = transition_moment(mat.spin)
     omega_1 = mat.gamma * b_field
     omega_2 = 2.0 * omega_1
     # modulation amplitude: the full ionized-donor field times s(r)
     coupling = mat.gamma * mat.b_q * point.e_off * point.screening
-    st2 = math.sin(geometry.theta) ** 2
-    ct2 = math.cos(geometry.theta) ** 2
-    k1 = 0.4 * moment * st2
-    k2 = 1.6 * moment * ct2
+    k1 = angular_factor(1, geometry.theta, mat.spin)
+    k2 = angular_factor(2, geometry.theta, mat.spin)
     inv_t1q = occ * (1.0 - occ) * coupling ** 2 * (
         k1 * spectral_density(omega_1, 1.0, state.tau_quad)
         + k2 * spectral_density(omega_2, 1.0, state.tau_quad)

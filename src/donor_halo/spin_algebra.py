@@ -1,4 +1,4 @@
-"""Dense spin-operator algebra and brute-force oracles.
+"""Dense spin-operator algebra and the closed forms it underlies.
 
 Everything here works on exact (2I+1)-dimensional complex matrices;
 with I <= 9/2 the largest matrix is 10x10, so dense algebra is both
@@ -9,9 +9,8 @@ simplest and fastest.  The module provides
   transition-strength factors they generate,
 * the general quadrupolar Hamiltonian for arbitrary electric and
   magnetic field orientations,
-* matrix oracles (traces, exact diagonalization, an explicit relaxation
-  superoperator) that cross-check every closed-form factor used by the
-  rate modules.
+* the closed-form local field, level shift and relaxation rate, whose
+  matrix oracles live in :mod:`donor_halo.oracles`.
 
 All functions are pure and all returned arrays are marked read-only.
 """
@@ -20,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MaterialError, NonPerturbativeRegimeError
 from .fields import Geometry, donor_field, efg_transform
-from .materials import E_CHARGE, HBAR, MaterialRecord
+from .materials import E_CHARGE, HBAR, MaterialRecord, _require_half_integer
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -35,10 +33,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def spin_multiplicity(spin: float) -> int:
-    doubled = 2.0 * spin
-    if spin <= 0.0 or abs(doubled - round(doubled)) > 1e-12:
-        raise MaterialError(f"spin must be a positive half-integer, got {spin}")
-    return int(round(doubled)) + 1
+    _require_half_integer(spin)
+    return int(round(2.0 * spin)) + 1
 
 
 @dataclass(frozen=True)
@@ -104,35 +100,26 @@ def build_quadrupole_operators(theta: float, phi: float, spin: float) -> Quadrup
     )
 
 
-class AngularFactor(NamedTuple):
-    trace_value: float
-    analytic_value: float
+def transition_moment(spin: float) -> float:
+    """Spin factor 4 I (I+1) - 3 common to both quadrupolar channels."""
+    return 4.0 * spin * (spin + 1.0) - 3.0
 
 
-def angular_factor(k: int, theta: float, spin: float) -> AngularFactor:
+def angular_factor(k: int, theta: float, spin: float) -> float:
     """Angle-dependent transition-strength factor for channel k in {1, 2}.
 
-    trace_value evaluates Tr{Iz [A_k, [A_k+, Iz]]} / Tr(Iz^2) by explicit
-    matrix algebra; analytic_value is the closed form
+    The closed form of Tr{Iz [A_k, [A_k+, Iz]]} / Tr(Iz^2):
     (2/5) [4I(I+1) - 3] sin^2(theta) for k = 1 and
-    (8/5) [4I(I+1) - 3] cos^2(theta) for k = 2.
-    Both vanish identically for spin 1/2.
+    (8/5) [4I(I+1) - 3] cos^2(theta) for k = 2, zero for spin 1/2.
+    ``oracles.angular_factor_trace`` evaluates the trace by matrix algebra.
     """
     if k not in (1, 2):
         raise MaterialError(f"channel k must be 1 or 2, got {k}")
-    ops = build_spin_operators(spin)
-    quad = build_quadrupole_operators(theta, 0.0, spin)
-    a, a_dag = (quad.a1, quad.a1_dag) if k == 1 else (quad.a2, quad.a2_dag)
-    inner = a_dag @ ops.iz - ops.iz @ a_dag
-    outer = a @ inner - inner @ a
-    trace = float(np.trace(ops.iz @ outer).real)
-    norm = float(np.trace(ops.iz @ ops.iz).real)
-    moment = 4.0 * spin * (spin + 1.0) - 3.0
+    _require_half_integer(spin)
+    moment = transition_moment(spin)
     if k == 1:
-        analytic = 0.4 * moment * math.sin(theta) ** 2
-    else:
-        analytic = 1.6 * moment * math.cos(theta) ** 2
-    return AngularFactor(trace_value=trace / norm, analytic_value=analytic)
+        return 0.4 * moment * math.sin(theta) ** 2
+    return 1.6 * moment * math.cos(theta) ** 2
 
 
 def trace_iz2(spin: float) -> float:
@@ -187,107 +174,65 @@ def build_hq_general(e_field: np.ndarray, geometry: Geometry, mat: MaterialRecor
     return _freeze(np.asarray(h, dtype=complex))
 
 
-class LocalFieldResult(NamedTuple):
-    analytic: float
-    trace_oracle: float
-
-
 def bq_local_field(r: float, occupancy: float, geometry: Geometry,
-                   mat: MaterialRecord) -> LocalFieldResult:
+                   mat: MaterialRecord) -> float:
     """Quadrupolar local field (T) at reduced distance r from the donor.
 
-    analytic: sqrt{(4/5) (b_q E_off)^2 (1 - s*occupancy)^2 [4I(I+1) - 3]}.
-    trace_oracle: sqrt{3 Tr(H_Q^2) / [I(I+1)(2I+1) (gamma hbar)^2]} with the
-    Hamiltonian built from the quadrupole operators; the two agree exactly,
-    independent of the field direction.
+    sqrt{(4/5) (b_q E_off)^2 (1 - s*occupancy)^2 [4I(I+1) - 3]}: zero for
+    spin 1/2 and independent of the field direction.  This is the closed
+    form of sqrt{3 Tr(H_Q^2) / [I(I+1)(2I+1) (gamma hbar)^2]}, which
+    ``oracles.bq_local_field_trace`` evaluates on the Hamiltonian.
     """
-    spin = mat.spin
     point = donor_field(r, occupancy, mat)
-    moment = 4.0 * spin * (spin + 1.0) - 3.0
+    moment = transition_moment(mat.spin)
     amplitude = mat.b_q * point.e_off * (1.0 - point.screening * occupancy)
-    analytic = math.sqrt(0.8 * moment) * abs(amplitude)
-    if spin < 1.0:
-        return LocalFieldResult(analytic=0.0, trace_oracle=0.0)
-    h = build_hq_axial(point.f0q, geometry.theta, geometry.phi, spin)
-    tr_h2 = float(np.trace(h @ h).real)
-    norm = spin * (spin + 1.0) * (2.0 * spin + 1.0) * (mat.gamma * HBAR) ** 2
-    return LocalFieldResult(analytic=analytic, trace_oracle=math.sqrt(3.0 * tr_h2 / norm))
+    return math.sqrt(0.8 * moment) * abs(amplitude)
 
 
-class LevelShift(NamedTuple):
-    analytic: float
-    numeric: float
+_PERTURBATIVE_MARGIN = 10.0     # gamma hbar B must exceed this times ||H_Q||_2
 
 
-def level_shift(m: float, b_field: float, r: float, geometry: Geometry,
-                occupancy: float, mat: MaterialRecord,
-                perturbative_margin: float = 10.0) -> LevelShift:
-    """Second-order quadrupolar shift (J) of Zeeman level m at field b_field.
-
-    analytic uses the closed-form perturbative expression; numeric
-    diagonalizes the full Zeeman + quadrupolar matrix and matches
-    eigenvalues to levels by adiabatic continuation from the high-field
-    ordering.  The Zeeman term is -gamma hbar B Iz (positive gamma means
-    level m = I lies lowest), which fixes the sign of the shifts.
-
-    Raises NonPerturbativeRegimeError when b_field is too small for the
-    level matching to be trustworthy.
-    """
+def _perturbative_terms(m: float, b_field: float, r: float, geometry: Geometry,
+                        occupancy: float, mat: MaterialRecord) -> tuple[float, float, np.ndarray]:
+    """(f0q, gamma hbar B, H_Q) for a level shift; raises outside the perturbative regime."""
     spin = mat.spin
     if b_field <= 0.0:
         raise MaterialError("b_field must be positive")
     if abs(m) > spin + 1e-12 or abs(2.0 * m - round(2.0 * m)) > 1e-12:
         raise MaterialError(f"m = {m} is not a level of spin {spin}")
-    point = donor_field(r, occupancy, mat)
-    f0q = point.f0q
-    x = spin * (spin + 1.0)
-    st2 = math.sin(geometry.theta) ** 2
-    ct2 = math.cos(geometry.theta) ** 2
+    f0q = donor_field(r, occupancy, mat).f0q
     zeeman_quantum = mat.gamma * HBAR * b_field
-    analytic = (2.0 * m * f0q ** 2 / zeeman_quantum) * (
-        st2 * (4.0 * x - 8.0 * m * m - 1.0) - ct2 * (2.0 * x - 2.0 * m * m - 1.0)
-    )
-    ops = build_spin_operators(spin)
     h_q = build_hq_axial(f0q, geometry.theta, geometry.phi, spin)
     h_norm = float(np.linalg.norm(h_q, 2))
-    if zeeman_quantum < perturbative_margin * h_norm:
+    if zeeman_quantum < _PERTURBATIVE_MARGIN * h_norm:
         raise NonPerturbativeRegimeError(
             f"non-perturbative regime: gamma*hbar*B = {zeeman_quantum:.3e} J is not "
             f"large against the quadrupolar scale {h_norm:.3e} J"
         )
-    h = -zeeman_quantum * ops.iz + h_q
-    eigenvalues = np.linalg.eigvalsh(h)          # ascending <=> m descending
-    index = int(round(spin - m))
-    numeric = float(eigenvalues[index] + zeeman_quantum * m)
-    return LevelShift(analytic=analytic, numeric=numeric)
+    return f0q, zeeman_quantum, h_q
 
 
-# --- relaxation superoperator oracle --------------------------------------
+def level_shift(m: float, b_field: float, r: float, geometry: Geometry,
+                occupancy: float, mat: MaterialRecord) -> float:
+    """Second-order quadrupolar shift (J) of Zeeman level m at field b_field.
 
-def redfield_rate(spin: float, theta: float, j1: float, j2: float) -> float:
-    """Spin-temperature decay rate from the explicit double-commutator map.
+    The closed-form perturbative expression.  The Zeeman term is
+    -gamma hbar B Iz (positive gamma means level m = I lies lowest), which
+    fixes the sign of the shifts.  ``oracles.level_shift_diagonalization``
+    diagonalizes the full Zeeman + quadrupolar matrix instead.
 
-    Builds sum_k J_k [A_k, [A_k+, .]] for the two quadrupolar channels,
-    applies it to a high-temperature density deviation proportional to
-    Iz, and extracts d<Iz>/dt / <Iz> at t = 0.  The coupling prefactor is
-    taken as one angular frequency unit, so the result equals the sum of
-    the two transition-strength factors weighted by the supplied spectral
-    densities; compare with :func:`redfield_rate_analytic`.
+    Raises NonPerturbativeRegimeError when b_field is too small for
+    perturbation theory to hold.
     """
-    ops = build_spin_operators(spin)
-    quad = build_quadrupole_operators(theta, 0.0, spin)
-    sigma = ops.iz     # deviation from equilibrium, arbitrary scale
-    total = np.zeros_like(sigma)
-    for a, a_dag, j in ((quad.a1, quad.a1_dag, j1), (quad.a2, quad.a2_dag, j2)):
-        inner = a_dag @ sigma - sigma @ a_dag
-        total = total + j * (a @ inner - inner @ a)
-    flow = float(np.trace(ops.iz @ total).real)
-    norm = float(np.trace(ops.iz @ ops.iz).real)
-    return flow / norm
+    f0q, zeeman_quantum, _ = _perturbative_terms(m, b_field, r, geometry, occupancy, mat)
+    x = mat.spin * (mat.spin + 1.0)
+    st2 = math.sin(geometry.theta) ** 2
+    ct2 = math.cos(geometry.theta) ** 2
+    return (2.0 * m * f0q ** 2 / zeeman_quantum) * (
+        st2 * (4.0 * x - 8.0 * m * m - 1.0) - ct2 * (2.0 * x - 2.0 * m * m - 1.0)
+    )
 
 
 def redfield_rate_analytic(spin: float, theta: float, j1: float, j2: float) -> float:
-    """Closed-form counterpart of :func:`redfield_rate`."""
-    k1 = angular_factor(1, theta, spin).analytic_value
-    k2 = angular_factor(2, theta, spin).analytic_value
-    return k1 * j1 + k2 * j2
+    """Decay rate k1 J1 + k2 J2; the closed form of ``oracles.redfield_rate_superoperator``."""
+    return angular_factor(1, theta, spin) * j1 + angular_factor(2, theta, spin) * j2

@@ -29,11 +29,18 @@ class LocalFields:
 
 def local_fields(b_field: float, r: float, occupancy: float, geometry: Geometry,
                  mat: MaterialRecord, margin: float = 10.0) -> LocalFields:
-    """High-field check against the combined local fields."""
+    """High-field check against the combined local fields (NumericalError out of float range)."""
     if b_field <= 0.0 or margin <= 0.0:
         raise MaterialError("b_field and margin must be positive")
-    b_q = bq_local_field(r, occupancy, geometry, mat).analytic
-    ok = b_field * b_field >= margin * (mat.local_field ** 2 + b_q * b_q)
+    try:
+        b_q = bq_local_field(r, occupancy, geometry, mat)
+        squared = mat.local_field ** 2 + b_q * b_q
+    except (ZeroDivisionError, OverflowError):
+        squared = math.inf
+    if not squared < math.inf:
+        raise NumericalError(f"local fields at r = {r:g} a0* are out of float range; "
+                             "check r and record fields")
+    ok = b_field * b_field >= margin * squared
     return LocalFields(b_l=mat.local_field, b_q=b_q, high_field_ok=ok)
 
 
@@ -95,7 +102,11 @@ def field_threshold(r_m: float, eta: float) -> float:
     """Field above which the spin-temperature hypothesis holds at radius r: (eta/r)^5."""
     if r_m <= 0.0:
         raise MaterialError("radius must be positive")
-    return (eta / r_m) ** 5
+    try:
+        return (eta / r_m) ** 5
+    except OverflowError:
+        raise NumericalError(f"spin-temperature field threshold at r = {r_m:g} m is "
+                             "out of float range") from None
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,55 @@ def test_radius_outside_the_starting_bracket(f0_min, f0_max, tmp_path, capsys):
     assert np.all(np.diff(data[:, 1]) > 0.0)
 
 
+@pytest.mark.parametrize("command, key", [
+    ("radius", "f0-min"), ("radius", "f0-max"), ("power", "p-min"), ("power", "p-max")])
+def test_grid_ends_must_be_positive(command, key, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err(command, f"--{key}", "0", "--out", str(out), capsys=capsys)
+    assert code == 2
+    assert err == f"donor-halo: {key} must be positive, got 0.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--r", "1e-200"], ["--r", "1e-100"],
+                                  ["--set", "local_field=1e300"]])
+def test_validity_local_fields_out_of_float_range_exits_3(argv, capsys):
+    code, err = run_cli_err("validity", *argv, capsys=capsys)
+    assert code == 3
+    assert err.startswith("donor-halo: numerical failure: local fields at r = ")
+    assert len(err.splitlines()) == 1
+
+
+def test_validity_threshold_out_of_float_range_exits_3(capsys):
+    # the local fields still fit in floats here; (eta / r)^5 does not
+    code, err = run_cli_err("validity", "--r", "1e-70", capsys=capsys)
+    assert code == 3
+    assert err.startswith("donor-halo: numerical failure: spin-temperature field")
+    assert len(err.splitlines()) == 1
+
+
+def test_power_below_the_occupancy_bracket_exits_3(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err("power", "--p-min", "1e-30", "--out", str(out), capsys=capsys)
+    assert code == 3
+    assert err.startswith("donor-halo: numerical failure: power ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nf0\n", "expected 'key = value'"),
+    ("f0 = 0.02\n# comment\nnot a pair\n", "expected 'key = value'"),
+])
+def test_config_syntax_errors(text, message, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    lineno = len(text.splitlines())
+    code, err = run_cli_err("profile", "--config", str(config), capsys=capsys)
+    assert code == 2
+    assert err == f"donor-halo: {config}:{lineno}: {message}\n"
+
+
 def test_validity_out_of_float_range_exits_3(capsys):
     # hbar gamma I B_L underflows to 0, so the spin-temperature radius has
     # no float value; that must stay a one-line numerical failure

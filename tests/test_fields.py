@@ -5,12 +5,11 @@ import pytest
 from scipy.integrate import quad
 
 from donor_halo import (Geometry, MaterialError, MissingParameterError, Radius,
-                        coulomb_field, donor_field, efg_rotation_oracle,
-                        efg_transform, get_material, hyperfine_field_instant,
-                        screening_fraction)
+                        coulomb_field, donor_field, efg_transform, get_material,
+                        hyperfine_field_instant, screening_fraction)
 from donor_halo.fields import field_direction, screening_density
 from donor_halo.materials import E_CHARGE, EPSILON_0, HBAR
-from donor_halo.oracles import screening_cdf_quadrature
+from donor_halo.oracles import efg_transform_rotation, screening_cdf_quadrature
 
 
 def test_screening_at_bohr_radius():
@@ -127,7 +126,7 @@ def test_efg_matches_rotation_oracle():
                        theta_b=rng.uniform(0, math.pi), phi_b=rng.uniform(0, 2 * math.pi))
         e_vec = rng.normal(size=3) * 1e6
         closed = efg_transform(e_vec, geo, 3.2e12)
-        oracle = efg_rotation_oracle(e_vec, geo, 3.2e12)
+        oracle = efg_transform_rotation(e_vec, geo, 3.2e12)
         scale = max(max(abs(c) for c in closed), 1e-30)
         for c, o in zip(closed, oracle):
             assert abs(c - o) <= 1e-10 * scale

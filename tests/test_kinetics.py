@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from donor_halo import (GAMMA_MIN_DIFFUSION, MaterialError, gamma_ceiling,
+from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, MaterialError, gamma_ceiling,
                         invert_power, occupancy, power_closed_form, power_map,
                         spectral_density, state_for_occupancy,
                         telegraph_correlation)
-from donor_halo.kinetics import (balance_residuals, correlation_from_conditionals,
-                                 hyperfine_correlation_amplitude, power_scale,
+from donor_halo.kinetics import (hyperfine_correlation_amplitude, power_scale,
                                  telegraph_amplitude, telegraph_p_matrix)
-from donor_halo.oracles import spectral_density_quadrature, telegraph_p_matrix_expm
+from donor_halo.oracles import (power_map_residuals, spectral_density_quadrature,
+                                telegraph_correlation_conditionals,
+                                telegraph_p_matrix_expm)
 
 SCREEN_BOHR = 0.3233235838169365   # enclosed-charge fraction at the Bohr radius
 
@@ -95,9 +96,9 @@ def test_correlation_reconstruction():
     amplitude = telegraph_amplitude(occ, SCREEN_BOHR)
     for tau in (0.0, 0.4e-9, 2.2e-9):
         direct = telegraph_correlation(tau, occ, SCREEN_BOHR, tau_occ, tau_empty)
-        recon = correlation_from_conditionals(tau, occ, SCREEN_BOHR, tau_occ,
-                                              tau_empty)
-        assert abs(direct.g_analytic - recon) <= 1e-12 * amplitude
+        recon = telegraph_correlation_conditionals(tau, occ, SCREEN_BOHR, tau_occ,
+                                                   tau_empty)
+        assert abs(direct - recon) <= 1e-12 * amplitude
 
 
 def test_correlation_requires_consistent_dwells():
@@ -143,7 +144,7 @@ def test_power_limits(gaas):
 
 def test_power_balance_residuals(gaas):
     for gamma_t in (0.1, 0.45, 0.8):
-        res = balance_residuals(gamma_t, gaas)
+        res = power_map_residuals(gamma_t, gaas)
         assert res["trapping"] <= 1e-8
         assert res["generation"] <= 1e-8
 
@@ -169,6 +170,25 @@ def test_invert_power_survives_extreme_inputs(gaas):
         gamma_t = invert_power(factor * power_scale(gaas), gaas)
         assert gamma_t < gamma_ceiling(gaas)
         assert power_map(gamma_t, gaas).power > 0.0
+
+
+def test_invert_power_meets_the_power_tolerance_at_low_power(gaas):
+    # the bracket stop is relative to its top end, so a tiny occupancy is
+    # resolved as finely as a large one
+    power = 1e-12 * power_scale(gaas)
+    scalar = invert_power(power, gaas)
+    array = invert_power(np.array([power, 1e-8 * power_scale(gaas)]), gaas)
+    assert array[0] == scalar
+    for occ, target in zip(array, (power, 1e-8 * power_scale(gaas))):
+        assert abs(power_map(float(occ), gaas).power - target) <= 1e-10 * target
+
+
+def test_invert_power_rejects_power_below_the_bracket(gaas):
+    power = 1e-30 * power_scale(gaas)
+    with pytest.raises(BracketError, match="below"):
+        invert_power(power, gaas)
+    with pytest.raises(BracketError, match="below"):
+        invert_power(np.array([power_scale(gaas), power]), gaas)
 
 
 def test_reference_power_inverts_to_half(gaas_zeta01):

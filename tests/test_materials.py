@@ -71,6 +71,20 @@ def test_parse_rejects_duplicate_block(gaas):
         parse_registry(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("no_block = 1\n", "x.dat:1: key outside any [record] block"),
+    ("not a pair\n", "x.dat:1: key outside any [record] block"),
+    ("# header\n[]\n", "x.dat:2: empty record name"),
+    ("[a]\nhost = GaAs\nnot a pair\n", "x.dat:3: expected 'key = value'"),
+    ("[a]\nname = b\n", "x.dat:2: 'name' is set by the block header"),
+    ("[a]\nspin = abc\n", "x.dat:2: bad number for spin: 'abc'"),
+])
+def test_parse_syntax_errors(text, message):
+    with pytest.raises(MaterialError) as err:
+        parse_registry(text, source="x.dat")
+    assert str(err.value) == message
+
+
 def test_dump_parse_round_trip(gaas):
     parsed = parse_registry(dump_record(gaas))[gaas.name]
     assert parsed.spin == gaas.spin

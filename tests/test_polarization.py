@@ -8,7 +8,7 @@ from donor_halo import (BracketError, MaterialError, calibrate_diffusion, diffus
                         power_sweep, profile, quadrupolar_radius, radius_sweep,
                         screening_fraction, state_for_occupancy)
 from donor_halo.kinetics import power_scale
-from donor_halo.oracles import angular_average, p_avg_quadrature
+from donor_halo.oracles import p_avg_quadrature
 from donor_halo.polarization import FIELD_INTEGRAL_UPPER, RHO_D_REFERENCE
 from donor_halo.relaxation import radial_profile
 
@@ -32,8 +32,7 @@ def test_half_polarization_radii():
 def test_sphere_average_against_quadrature():
     for r in (0.05, 0.2, 0.35, 0.8, 1.5, 4.0):
         for f0 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-            pair = angular_average(r, f0)
-            assert abs(pair.closed_form - pair.quadrature) <= 1e-9
+            assert abs(p_avg(r, f0) - p_avg_quadrature(r, f0)) <= 1e-9
 
 
 def test_sphere_average_reference_point():

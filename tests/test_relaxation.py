@@ -100,7 +100,7 @@ def test_quadrupolar_rate_amplitude_wiring(gaas):
     from donor_halo.fields import donor_field
     from donor_halo.kinetics import spectral_density, telegraph_amplitude
     from donor_halo.materials import HBAR
-    from donor_halo.spin_algebra import angular_factor
+    from donor_halo.oracles import angular_factor_trace
 
     gamma_t, r, theta, b_field = 0.35, 0.8, 1.1, 0.5
     state = state_for_occupancy(gamma_t, gaas)
@@ -109,7 +109,7 @@ def test_quadrupolar_rate_amplitude_wiring(gaas):
     total = 0.0
     for k in (1, 2):
         omega = k * gaas.gamma * b_field
-        total += angular_factor(k, theta, gaas.spin).trace_value \
+        total += angular_factor_trace(k, theta, gaas.spin) \
             * spectral_density(omega, g0, state.tau_quad)
     expected = (point.f0q / HBAR) ** 2 * total
     bundle = rates(r, Geometry(theta=theta), state, b_field, gaas)
