@@ -9,7 +9,9 @@ electrons.  This package computes the relaxation rates, the steady
 polarization profiles and radii, the nuclear-field-versus-power curves,
 and the validity diagnostics of that picture, with brute-force oracles
 for every closed form it uses in :mod:`donor_halo.oracles` (not
-re-exported here, since it loads scipy).
+re-exported here: production code never needs them).  Its one runtime
+dependency is numpy; scipy serves the tests as the referee of the
+oracles.
 """
 
 from .errors import (BracketError, DonorHaloError, MaterialError,

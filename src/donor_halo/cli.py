@@ -43,7 +43,7 @@ EXIT_VERIFY = 4
 _CONFIG_KEYS = ("material", "out", "format", "seed")
 
 #: the keys of checks.SUITES, kept here so that building the parser does
-#: not import the verification suites (and scipy with them)
+#: not import the verification suites and their oracles
 VERIFY_SUITES = ("exact-oracles", "properties", "reference-numbers", "telegraph-mc")
 
 
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", default=None,
                    choices=VERIFY_SUITES, help="run only this suite (repeatable)")
     p.add_argument("--dwell", type=int, default=None,
-                   help="Monte Carlo dwell events (default 1000000)")
+                   help="Monte Carlo dwell events (default 1000000, at least 128)")
 
     p = sub.add_parser("materials", help="list records or dump one")
     common(p)
@@ -173,6 +173,17 @@ def _points(args: argparse.Namespace, config: dict[str, str], default: int) -> i
     return points
 
 
+def _require_finite(**numbers) -> None:
+    """NumericalError unless every number (float or array) is finite.
+
+    Each command passes what it is about to write through here, so no
+    output carries a nan or inf cell; the command exits 3 instead.
+    """
+    for name, value in numbers.items():
+        if not np.all(np.isfinite(value)):
+            raise NumericalError(f"{name} is not finite; nothing was written")
+
+
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -215,7 +226,9 @@ def _calibrated_diffusion(mat: MaterialRecord) -> str:
     if mat.hyperfine_field_bohr is None:
         return "n/a (record has no hyperfine field)"
     state = kinetics.state_for_occupancy(0.5, mat)
-    return f"{polarization.calibrate_diffusion(state, 0.1, mat):.9g}"
+    diffusion = polarization.calibrate_diffusion(state, 0.1, mat)
+    _require_finite(calibrated_D=diffusion)
+    return f"{diffusion:.9g}"
 
 
 def _cmd_profile(args: argparse.Namespace, config: dict[str, str]) -> int:
@@ -227,6 +240,8 @@ def _cmd_profile(args: argparse.Namespace, config: dict[str, str]) -> int:
     fmt = _option(args, config, "format", "csv", str)
     grid = np.linspace(r_min, r_max, points)
     prof = polarization.profile(f0, grid)
+    _require_finite(r=grid, p_parallel=prof.p_parallel, p_perpendicular=prof.p_perpendicular,
+                    p_avg=prof.p_avg, rho_q=prof.rho_q, s_rho_q=prof.s_at_rho_q)
     options = {
         "f0": f0, "r_min": r_min, "r_max": r_max, "points": points,
         "rho_q": f"{prof.rho_q:.9g}", "s_rho_q": f"{prof.s_at_rho_q:.9g}",
@@ -254,6 +269,7 @@ def _cmd_radius(args: argparse.Namespace, config: dict[str, str]) -> int:
     points = _points(args, config, 25)
     fmt = _option(args, config, "format", "csv", str)
     table = polarization.radius_sweep(np.geomspace(f0_min, f0_max, points))
+    _require_finite(f0=table[:, 0], rho_q=table[:, 1], s_rho_q=table[:, 2])
     options = {
         "f0_min": f0_min, "f0_max": f0_max, "points": points,
         "calibrated_D": _calibrated_diffusion(mat),
@@ -280,10 +296,14 @@ def _cmd_power(args: argparse.Namespace, config: dict[str, str]) -> int:
     quad_on = not args.no_quadrupolar
     sweep = polarization.power_sweep(np.geomspace(p_min, p_max, points), mat,
                                      quadrupolar=quad_on)
+    p0 = kinetics.power_scale(mat)
+    _require_finite(p_over_p0=sweep.p_over_p0, occupancy=sweep.occupancy,
+                    nf_over_na=sweep.nf_over_na, s_rho_q=sweep.s_rho_q,
+                    alpha_n=sweep.alpha_n, f00=sweep.f00, p0_W_per_m2=p0)
     options = {
         "p_min": p_min, "p_max": p_max, "points": points,
         "quadrupolar": quad_on,
-        "p0_W_per_m2": f"{kinetics.power_scale(mat):.9g}",
+        "p0_W_per_m2": f"{p0:.9g}",
         "f00": f"{sweep.f00:.9g}",
         "rho_d_cap": f"{sweep.rho_d:.9g}",
         "calibrated_D": _calibrated_diffusion(mat),
@@ -314,17 +334,19 @@ def _cmd_validity(args: argparse.Namespace, config: dict[str, str]) -> int:
     margin = _option(args, config, "margin", 10.0)
     state = kinetics.state_for_occupancy(occ, mat)
     report = validity.build_report(b_field, r, state, Geometry(), mat, margin=margin)
+    _require_finite(**{key: value for key, value in vars(report).items()
+                       if isinstance(value, float)})
     _write(validity.render_report(report, mat), args.out or config.get("out"))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    from . import checks   # loads the scipy-backed oracles
+    from . import checks   # loads the oracles
 
     seed = args.seed if args.seed is not None else int(config.get("seed", 20260810))
     n_dwell = int(_option(args, config, "dwell", 1_000_000, int))
-    if n_dwell < kinetics.MIN_DWELL:
-        raise MaterialError(f"dwell must be at least {kinetics.MIN_DWELL}, got {n_dwell}")
+    if n_dwell < checks.MIN_DWELL:
+        raise MaterialError(f"dwell must be at least {checks.MIN_DWELL}, got {n_dwell}")
     results = checks.run_suites(args.suite, seed=seed, n_dwell=n_dwell)
     lines = []
     by_suite: dict[str, list[checks.CheckResult]] = {}
@@ -371,7 +393,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, config)
+        # numpy's overflow and invalid-value warnings stay silent: a result
+        # they would flag is non-finite, and _require_finite refuses it
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args, config)
     except NumericalError as exc:
         print(f"donor-halo: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaterialError
+from .errors import MaterialError, NumericalError
 from .materials import E_CHARGE, EPSILON_0, HBAR, MaterialRecord
 from .numerics import as_operand
 
@@ -122,9 +122,14 @@ def _cdf_series(x, xp):
     return x * x * x * xp.exp(-x) * acc
 
 
-def screening_density(r_bohr: float) -> float:
-    """Radial charge density 4 r^2 exp(-2r); the derivative of the CDF."""
-    return 4.0 * r_bohr * r_bohr * math.exp(-2.0 * r_bohr)
+def screening_density(r_bohr):
+    """Radial charge density 4 r^2 exp(-2r); the derivative of the CDF.
+
+    Takes a float or an array.
+    """
+    r = r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr)
+    exp = math.exp if isinstance(r, float) else np.exp
+    return 4.0 * r * r * exp(-2.0 * r)
 
 
 def coulomb_field(r: float | Radius, mat: MaterialRecord) -> float:
@@ -133,7 +138,12 @@ def coulomb_field(r: float | Radius, mat: MaterialRecord) -> float:
     if r_b <= 0.0:
         raise MaterialError("field diverges at the donor site; r must be positive")
     r_m = r_b * mat.bohr_radius
-    return E_CHARGE / (4.0 * math.pi * mat.epsilon * EPSILON_0 * r_m * r_m)
+    denominator = 4.0 * math.pi * mat.epsilon * EPSILON_0 * r_m * r_m
+    field = E_CHARGE / denominator if denominator else math.inf
+    if field == math.inf:
+        raise NumericalError(f"Coulomb field at r = {r_b:g} a0* is out of float range; "
+                             "check r, bohr_radius and epsilon")
+    return field
 
 
 def donor_field(r: float | Radius, occupancy: float, mat: MaterialRecord) -> FieldPoint:

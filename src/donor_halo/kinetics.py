@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, MaterialError
+from .errors import BracketError, MaterialError, NumericalError
 from .materials import MaterialRecord
 from .numerics import all_true, any_true, as_operand, solve
 
@@ -89,8 +89,12 @@ def state_for_occupancy(gamma_t: float, mat: MaterialRecord) -> KineticState:
         raise MaterialError("occupancy must lie in [0, 1)")
     if gamma_t == 0.0:
         return occupancy(0.0, mat)
-    n_f = gamma_t / ((1.0 - gamma_t) * mat.sigma_capture * mat.velocity
-                     * mat.recombination_time)
+    capture = (1.0 - gamma_t) * mat.sigma_capture * mat.velocity * mat.recombination_time
+    n_f = gamma_t / capture if capture else math.inf
+    if n_f == math.inf:
+        raise NumericalError(f"free-electron density for occupancy {gamma_t:g} is out of "
+                             "float range; check sigma_capture, velocity and "
+                             "recombination_time")
     return occupancy(n_f, mat)
 
 
@@ -302,7 +306,8 @@ def spectral_density(omega: float, amplitude: float, tau_c: float) -> float:
     """Lorentzian spectral density 2 * amplitude * tau_c / (1 + omega^2 tau_c^2)."""
     if tau_c <= 0.0:
         raise MaterialError("correlation time must be positive")
-    return 2.0 * amplitude * tau_c / (1.0 + (omega * tau_c) ** 2)
+    x = omega * tau_c     # x * x, unlike x ** 2, overflows to inf and J to 0
+    return 2.0 * amplitude * tau_c / (1.0 + x * x)
 
 
 # --- excitation power map ---------------------------------------------------

@@ -44,9 +44,12 @@ def compute_bq(r14: float, quadrupole_moment: float, spin: float, gamma: float) 
         )
     if min(r14, quadrupole_moment, gamma) <= 0.0:
         raise MaterialError("r14, quadrupole moment and gamma must be positive")
-    return (E_CHARGE * r14 * quadrupole_moment) / (
-        4.0 * HBAR * gamma * spin * (2.0 * spin - 1.0)
-    )
+    denominator = 4.0 * HBAR * gamma * spin * (2.0 * spin - 1.0)
+    ratio = E_CHARGE * r14 * quadrupole_moment / denominator if denominator else math.inf
+    if not 0.0 < ratio < math.inf:
+        raise MaterialError(f"coupling ratio b_q = {ratio:g} is out of float range; "
+                            "check r14, quadrupole_moment, spin and gamma")
+    return ratio
 
 
 def scale_r14(r14_acoustic: float, r14_ref_nmr: float, r14_ref_acoustic: float) -> float:
@@ -69,7 +72,7 @@ def thermal_velocity(temperature: float, effective_mass_ratio: float) -> float:
 
 def _require_half_integer(spin: float) -> None:
     doubled = 2.0 * spin
-    if not 0.0 < spin < math.inf or abs(doubled - round(doubled)) > 1e-12:
+    if not 0.5 < doubled < math.inf or abs(doubled - round(doubled)) > 1e-12:
         raise MaterialError(f"spin must be a positive half-integer, got {spin}")
 
 

@@ -1,4 +1,5 @@
-"""Float-or-array inputs for the kernels, and the package's one root finder.
+"""Float-or-array inputs for the kernels, the package's one root finder, and
+its one quadrature rule.
 
 The scalar kernels (``screening_fraction``, ``radial_profile``, ``p_point``,
 ``p_avg``, ``power_map``) take either a float or an array.  A float runs
@@ -11,10 +12,16 @@ Every root the package solves for is the crossing of a monotone function:
 diffusion balance for the diffusion radius.  :func:`solve` finds all the
 roots of an array of brackets in lockstep, and :func:`expand_bracket`
 widens brackets that do not yet hold their root.
+
+Every integral the package evaluates (the nuclear field, and the
+quadrature oracles) has a smooth integrand on a finite interval.
+:func:`gauss_legendre` integrates it with a fixed composite rule whose
+panels the caller lays out where the integrand changes scale.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -26,6 +33,8 @@ from .errors import BracketError, NumericalError
 NEWTON_RESOLUTION = 8.0 * np.finfo(float).eps
 #: doublings of a bracket before expand_bracket gives up: 2^60 widths
 _MAX_EXPANSIONS = 60
+#: Gauss-Legendre nodes per panel: exact for polynomials of degree 47
+GAUSS_NODES = 24
 
 
 def as_operand(x) -> float | np.ndarray:
@@ -129,3 +138,27 @@ def solve(func: Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarra
     bad = int(np.flatnonzero(active)[0])
     raise NumericalError(
         f"{what} did not converge in {max_iter} steps on [{lo.flat[bad]}, {hi.flat[bad]}]")
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    # numpy.polynomial is not loaded by `import numpy`; only callers pay for it
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(GAUSS_NODES)
+
+
+def gauss_legendre(func: Callable[[np.ndarray], np.ndarray], breakpoints) -> float:
+    """Integral of func from breakpoints[0] to breakpoints[-1], composite rule.
+
+    Each panel between consecutive (increasing) breakpoints gets its own
+    GAUSS_NODES-point Gauss-Legendre rule.  func is called once, with the
+    abscissae of all panels as an array of shape (panels, GAUSS_NODES),
+    and returns the integrand there.  Where the integrand is analytic in
+    an ellipse around a panel the error falls geometrically with the node
+    count, so breakpoints go where it turns sharply or changes scale.
+    """
+    edges = np.asarray(breakpoints, dtype=float)
+    x, w = _legendre_rule()
+    half = 0.5 * np.diff(edges)
+    centre = 0.5 * (edges[1:] + edges[:-1])
+    return float(half @ (func(centre[:, None] + half[:, None] * x) @ w))

@@ -2,9 +2,12 @@
 
 Each function here recomputes a closed form of the package by an
 independent numerical route (quadrature, matrix algebra, bisection), for
-the verification suites and the tests.  It imports scipy at top level, so
-production imports (``donor_halo``, the CLI commands other than
-``verify``) never load it.
+the verification suites and the tests.  The quadratures use the fixed
+composite Gauss-Legendre rule of :mod:`donor_halo.numerics` and the
+matrix routes use numpy alone, so the verification suites load no scipy;
+the tests hold each route against ``scipy.integrate.quad`` or
+``scipy.linalg.expm``.  Production imports (``donor_halo``, the CLI
+commands other than ``verify``) never load this module.
 """
 
 from __future__ import annotations
@@ -12,14 +15,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from .errors import MaterialError, NumericalError
 from .fields import (EfgComponents, Geometry, donor_field, rotation_to_field_frame,
                      screening_density)
 from .kinetics import power_map, telegraph_p_matrix, telegraph_values
 from .materials import HBAR, MaterialRecord
+from .numerics import gauss_legendre
 from .polarization import p_avg
 from .relaxation import radial_profile
 from .spin_algebra import (_perturbative_terms, build_hq_axial,
@@ -27,10 +29,13 @@ from .spin_algebra import (_perturbative_terms, build_hq_axial,
 from .validity import _worst_case_shift
 
 
-def screening_cdf_quadrature(r: float, tol: float = 1e-13) -> float:
-    """Quadrature oracle for ``fields.screening_fraction``: int_0^r s'(u) du."""
-    value, _ = quad(screening_density, 0.0, r, epsabs=tol, epsrel=tol)
-    return value
+def screening_cdf_quadrature(r: float) -> float:
+    """Quadrature oracle for ``fields.screening_fraction``: int_0^r s'(u) du.
+
+    Panels at most one unit wide, two decay lengths of e^-2u, leave the
+    rule exact to rounding.
+    """
+    return gauss_legendre(screening_density, np.linspace(0.0, r, max(1, math.ceil(r)) + 1))
 
 
 def efg_transform_rotation(e_field: np.ndarray, geometry: Geometry,
@@ -101,12 +106,18 @@ def redfield_rate_superoperator(spin: float, theta: float, j1: float, j2: float)
 # --- kinetics ----------------------------------------------------------------
 
 def telegraph_p_matrix_expm(tau: float, tau_occupied: float, tau_empty: float) -> np.ndarray:
-    """Matrix-exponential oracle for ``kinetics.telegraph_p_matrix``."""
+    """Matrix-exponential oracle for ``kinetics.telegraph_p_matrix``.
+
+    exp(G |tau|) = V exp(Lambda) V^-1 from the eigendecomposition of the
+    rate generator G; its eigenvalues 0 and -(1/tau_e + 1/tau_o) are
+    distinct, so V is well conditioned.
+    """
     generator = np.array([
         [-1.0 / tau_empty, 1.0 / tau_empty],
         [1.0 / tau_occupied, -1.0 / tau_occupied],
     ])
-    return expm(generator * abs(tau))
+    values, vectors = np.linalg.eig(generator * abs(tau))
+    return (vectors * np.exp(values)) @ np.linalg.inv(vectors)
 
 
 def telegraph_correlation_conditionals(tau: float, occ: float, screening: float,
@@ -121,17 +132,17 @@ def telegraph_correlation_conditionals(tau: float, occ: float, screening: float,
 def spectral_density_quadrature(omega: float, amplitude: float, tau_c: float) -> float:
     """Fourier-integral oracle: 2 int_0^inf cos(omega t) amplitude e^(-t/tau) dt.
 
-    Integrated in units of the correlation time so the adaptive rule sees
-    a unit decay scale; truncated where the envelope is ~1e-26.
+    Integrated in units of the correlation time, u = t / tau_c, and
+    truncated at u = 60, where the envelope is ~1e-26.  Panels are one
+    unit of u wide, and narrower once omega tau_c exceeds 5, so that each
+    spans at most 5 radians of the cosine.
     """
     if tau_c <= 0.0:
         raise MaterialError("correlation time must be positive")
     w = omega * tau_c
-
-    def integrand(u: float) -> float:
-        return math.cos(w * u) * math.exp(-u)
-
-    value, _ = quad(integrand, 0.0, 60.0, epsabs=1e-12, epsrel=1e-12, limit=800)
+    panels = 60 * max(1, math.ceil(abs(w) / 5.0))
+    value = gauss_legendre(lambda u: np.cos(w * u) * np.exp(-u),
+                           np.linspace(0.0, 60.0, panels + 1))
     return 2.0 * amplitude * tau_c * value
 
 
@@ -161,15 +172,19 @@ def power_map_residuals(gamma_t: float, mat: MaterialRecord) -> dict[str, float]
 # --- polarization ------------------------------------------------------------
 
 def p_avg_quadrature(r: float, f0: float) -> float:
-    """Adaptive-quadrature oracle for ``polarization.p_avg`` (independent of it)."""
+    """Quadrature oracle for ``polarization.p_avg`` (independent of it).
+
+    Averages p = f/(1+f), f = a/(1 + 3u^2), over u = cos(theta) in [0, 1]
+    (p is even in u).  Its poles, at u = +-i sqrt((1+a)/3), lie at least
+    0.58 off the real axis, so two panels leave the rule exact to rounding.
+    """
     a = f0 * radial_profile(r)
 
-    def integrand(u: float) -> float:
+    def integrand(u: np.ndarray) -> np.ndarray:
         f = a / (1.0 + 3.0 * u * u)
         return f / (1.0 + f)
 
-    value, _ = quad(integrand, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 0.5 * value
+    return gauss_legendre(integrand, (0.0, 0.5, 1.0))
 
 
 def quadrupolar_radius_bisection(f0: float) -> float:

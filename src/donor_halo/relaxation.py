@@ -73,7 +73,7 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
     coupling = mat.gamma * mat.b_q * point.e_off * point.screening
     k1 = angular_factor(1, geometry.theta, mat.spin)
     k2 = angular_factor(2, geometry.theta, mat.spin)
-    inv_t1q = occ * (1.0 - occ) * coupling ** 2 * (
+    inv_t1q = occ * (1.0 - occ) * coupling * coupling * (
         k1 * spectral_density(omega_1, 1.0, state.tau_quad)
         + k2 * spectral_density(omega_2, 1.0, state.tau_quad)
     )
@@ -82,7 +82,7 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
     if math.isinf(state.tau_hyper):
         inv_t1h = 0.0
     else:
-        inv_t1h = occ * (mat.gamma * b_e) ** 2 \
+        inv_t1h = occ * (mat.gamma * b_e) * (mat.gamma * b_e) \
             * spectral_density(omega_h, 1.0, state.tau_hyper)
     f = inv_t1h / inv_t1q if inv_t1q > 0.0 else math.inf
     return RateBundle(inv_t1q=inv_t1q, inv_t1h=inv_t1h,
@@ -197,9 +197,14 @@ def intrinsic_ratio(mat: MaterialRecord) -> float:
             f"amplitude needs a quadrupolar nucleus")
     b_e = mat.require_hyperfine_field()
     e_off_bohr = donor_field(1.0, 0.0, mat).e_off
-    field_ratio = b_e / (mat.b_q * e_off_bohr)
-    return 2.5 * (mat.sigma_capture / mat.sigma_exchange) \
-        / transition_moment(mat.spin) * field_ratio ** 2
+    modulation = mat.b_q * e_off_bohr
+    field_ratio = b_e / modulation if modulation else math.inf
+    f00 = 2.5 * (mat.sigma_capture / mat.sigma_exchange) \
+        / transition_moment(mat.spin) * field_ratio * field_ratio
+    if not 0.0 < f00 < math.inf:
+        raise NumericalError(f"competition amplitude f00 = {f00:g} is out of float range; "
+                             "check record fields")
+    return f00
 
 
 def competition(r: float, theta: float, state: KineticState,

@@ -31,10 +31,26 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
             break
     first = math.ceil(lo / step) * step
     ticks, t = [], first
-    while t <= hi + 1e-12 * span:
+    # the step leaves room for at most 7 ticks; the cap also ends the loop
+    # where the range sits so far from 0 that t + step rounds to t
+    while t <= hi + 1e-12 * span and len(ticks) < 8:
         ticks.append(t)
         t += step
     return ticks
+
+
+def _axis_range(lo: float, hi: float, log: bool) -> tuple[float, float]:
+    """[lo, hi], widened where it maps to one point of the axis.
+
+    The range becomes [lo, lo + 1], or [lo - |lo|/2, lo] where lo + 1
+    still maps to the point of lo (far from 0, or on a log axis).
+    """
+    scale = math.log10 if log else float
+    if scale(hi) == scale(lo):
+        hi = lo + 1.0
+    if scale(hi) == scale(lo):
+        lo, hi = lo - 0.5 * abs(lo), lo
+    return lo, hi
 
 
 def _fmt(x: float) -> str:
@@ -55,12 +71,8 @@ def line_chart(series: Sequence[tuple[Sequence[float], Sequence[float], str]],
         ys = [y for y in ys if y > 0.0]
         if not ys:
             raise MaterialError("log y axis needs positive values")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _axis_range(min(xs), max(xs), logx)
+    y_lo, y_hi = _axis_range(min(ys), max(ys), logy)
 
     def tx(x: float) -> float:
         if logx:

@@ -35,7 +35,7 @@ def local_fields(b_field: float, r: float, occupancy: float, geometry: Geometry,
     try:
         b_q = bq_local_field(r, occupancy, geometry, mat)
         squared = mat.local_field ** 2 + b_q * b_q
-    except (ZeroDivisionError, OverflowError):
+    except (ZeroDivisionError, OverflowError, NumericalError):
         squared = math.inf
     if not squared < math.inf:
         raise NumericalError(f"local fields at r = {r:g} a0* are out of float range; "
@@ -80,9 +80,12 @@ def spin_temperature_eta(mat: MaterialRecord, reference_field: float = 1.0) -> f
         raise MaterialError("spin-temperature limit needs a quadrupolar nucleus")
     target = HBAR * mat.gamma * mat.spin * mat.local_field
     r_m = mat.bohr_radius
-    c = abs(_worst_case_shift(r_m, reference_field, mat)) * r_m ** 4
-    ratio = 4.0 * c * mat.neighbor_spacing / target if target > 0.0 else math.inf
-    eta = ratio ** 0.2 * reference_field ** 0.2
+    try:
+        c = abs(_worst_case_shift(r_m, reference_field, mat)) * r_m ** 4
+        ratio = 4.0 * c * mat.neighbor_spacing / target if target > 0.0 else math.inf
+        eta = ratio ** 0.2 * reference_field ** 0.2
+    except (ZeroDivisionError, OverflowError):
+        eta = math.inf
     if not 0.0 < eta < math.inf:
         raise NumericalError("spin-temperature radius is out of float range; "
                              "check record fields")

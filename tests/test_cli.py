@@ -204,7 +204,7 @@ def test_verify_rejects_too_few_dwell_events(dwell, capsys):
     code, err = run_cli_err("verify", "--suite", "telegraph-mc", "--dwell", dwell,
                             capsys=capsys)
     assert code == 2
-    assert err == f"donor-halo: dwell must be at least 4, got {dwell}\n"
+    assert err == f"donor-halo: dwell must be at least 128, got {dwell}\n"
 
 
 def test_power_rejects_spin_half(capsys):
@@ -322,3 +322,48 @@ def test_validity_out_of_float_range_exits_3(capsys):
     code, err = run_cli_err("validity", "--set", "local_field=1e-300", capsys=capsys)
     assert code == 3
     assert err.startswith("donor-halo: numerical failure:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--f0", "1e308"],          # p_avg overflows to inf / inf
+    ["profile", "--r-min", "1e-300"],      # s(r) underflows to 0 in phi(r)
+    ["validity", "--field", "1e308"],      # w1*tau overflows
+])
+def test_non_finite_results_exit_3_and_write_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    code, err = run_cli_err(*argv, "--out", str(out), capsys=capsys)
+    assert code == 3
+    assert err.startswith("donor-halo: numerical failure: ")
+    assert err.endswith(" is not finite; nothing was written\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["validity", "--set", "velocity=1e-300"], 3, "free-electron density"),
+    (["profile", "--set", "bohr_radius=1e-200"], 3, "Coulomb field"),
+    (["power", "--set", "gamma=5e-324"], 2, "coupling ratio b_q"),
+    (["profile", "--set", "spin=1e308"], 2, "spin must be a positive half-integer"),
+])
+def test_extreme_record_values_end_in_one_line(argv, code, message, capsys):
+    status, err = run_cli_err(*argv, capsys=capsys)
+    assert status == code
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_verify_rejects_dwell_below_the_floor(capsys):
+    # 10 dwells used to reach symmetric-dwell and report "raised MaterialError"
+    code, err = run_cli_err("verify", "--suite", "telegraph-mc", "--dwell", "10",
+                            capsys=capsys)
+    assert code == 2
+    assert err == "donor-halo: dwell must be at least 128, got 10\n"
+
+
+def test_verify_at_the_dwell_floor_raises_nowhere(capsys):
+    from donor_halo import checks
+
+    cli.main(["verify", "--suite", "telegraph-mc", "--dwell", str(checks.MIN_DWELL)])
+    lines = capsys.readouterr().out.splitlines()
+    results = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert len(results) == 2
+    assert not any("raised" in line for line in results)

@@ -3,19 +3,34 @@
 Each property draws derandomized inputs with hypothesis and compares a
 production closed form with the oracle in ``donor_halo.oracles`` at the
 tolerance of the matching ``exact-oracles`` check.
+
+The oracles and ``nuclear_field`` integrate with the package's own
+Gauss-Legendre rule and exponentiate with numpy; the properties at the
+end referee those routes against ``scipy.integrate.quad`` and
+``scipy.linalg.expm`` at 1e-12 relative.  scipy is needed by the tests
+only.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.linalg import expm
 
 from donor_halo import (Geometry, angular_factor, bq_local_field, compute_bq,
-                        get_material, redfield_rate_analytic, telegraph_correlation)
+                        get_material, nuclear_field, p_avg, profile,
+                        redfield_rate_analytic, telegraph_correlation)
+from donor_halo.fields import screening_density
 from donor_halo.kinetics import telegraph_amplitude
 from donor_halo.oracles import (angular_factor_trace, bq_local_field_trace,
-                                redfield_rate_superoperator,
-                                telegraph_correlation_conditionals)
+                                p_avg_quadrature, redfield_rate_superoperator,
+                                screening_cdf_quadrature, spectral_density_quadrature,
+                                telegraph_correlation_conditionals,
+                                telegraph_p_matrix_expm)
+from donor_halo.polarization import FIELD_INTEGRAL_UPPER
+from donor_halo.relaxation import radial_profile
 
 QUADRUPOLAR_SPINS = st.sampled_from([1.0, 1.5, 2.5, 4.5])
 THETA = st.floats(0.0, math.pi)
@@ -77,3 +92,65 @@ def test_telegraph_correlation_matches_conditionals(occ, screening, log_tau_occ,
     assert type(closed) is float
     # measured against the zero-lag amplitude, as in the exact-oracles check
     assert abs(closed - oracle) <= 1e-12 * telegraph_amplitude(occ, screening)
+
+
+# --- the numpy routes against scipy ------------------------------------------
+
+#: relative agreement of every numpy route with its scipy referee
+REFEREE_RTOL = 1e-12
+
+
+def _quad(func, a, b, **kwargs):
+    """scipy's adaptive quadrature, asked for ten times REFEREE_RTOL."""
+    return quad(func, a, b, epsabs=0.0, epsrel=1e-13, limit=800, **kwargs)[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(-6.0, math.log10(FIELD_INTEGRAL_UPPER)))
+def test_screening_cdf_quadrature_matches_quad(log_r):
+    r = 10.0 ** log_r
+    assert _rel(screening_cdf_quadrature(r), _quad(screening_density, 0.0, r)) \
+        <= REFEREE_RTOL
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 1.0), st.floats(-8.0, 6.0))
+def test_p_avg_quadrature_matches_quad(log_r, log_f0):
+    r, f0 = 10.0 ** log_r, 10.0 ** log_f0
+    a = f0 * radial_profile(r)
+    referee = 0.5 * _quad(lambda u: a / (1.0 + 3.0 * u * u + a), -1.0, 1.0)
+    assert _rel(p_avg_quadrature(r, f0), referee) <= REFEREE_RTOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.0, 5.0), st.floats(-10.0, -7.0))
+def test_spectral_density_quadrature_matches_quad(w, log_tau_c):
+    tau_c = 10.0 ** log_tau_c
+    # QAWO, scipy's rule for cosine-weighted integrands
+    referee = 2.0 * 1.7 * tau_c * _quad(lambda u: math.exp(-u), 0.0, 60.0,
+                                         weight="cos", wvar=w)
+    assert _rel(spectral_density_quadrature(w / tau_c, 1.7, tau_c), referee) \
+        <= REFEREE_RTOL
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.floats(-10.0, -7.0), st.floats(-10.0, -7.0), st.floats(0.0, 1e-7))
+def test_telegraph_p_matrix_expm_matches_scipy(log_tau_occ, log_tau_empty, lag):
+    tau_occ, tau_empty = 10.0 ** log_tau_occ, 10.0 ** log_tau_empty
+    generator = np.array([[-1.0 / tau_empty, 1.0 / tau_empty],
+                          [1.0 / tau_occ, -1.0 / tau_occ]])
+    # the entries are probabilities: rows sum to one, so 1 is the scale
+    deviation = np.abs(telegraph_p_matrix_expm(lag, tau_occ, tau_empty)
+                       - expm(generator * lag)).max()
+    assert deviation <= REFEREE_RTOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(-6.0, 6.0))
+def test_nuclear_field_matches_quad(log_f0):
+    mat = get_material("GaAs:As75")
+    f0 = 10.0 ** log_f0
+    prof = profile(f0, np.array([0.5]))
+    referee = _quad(lambda r: screening_density(r) * p_avg(r, f0), 1e-9,
+                    FIELD_INTEGRAL_UPPER, points=[prof.rho_q])
+    assert _rel(nuclear_field(prof, mat).b_n_exact, mat.b_n0 * referee) <= REFEREE_RTOL

@@ -126,7 +126,9 @@ def test_nuclear_field_step_and_exact(gaas):
     field = nuclear_field(prof, gaas)
     assert field.b_n_step == pytest.approx(
         gaas.b_n0 * screening_fraction(prof.rho_q), rel=1e-12)
-    # independent trapezoid oracle for the weighted integral
+    # the trapezoid rule on 40001 points up to the same truncation radius:
+    # a route independent of the Gauss-Legendre panels of nuclear_field
+    # (tests/test_oracles.py holds those against quad at 1e-12)
     grid = np.linspace(1e-6, FIELD_INTEGRAL_UPPER, 40_001)
     weight = 4.0 * grid ** 2 * np.exp(-2.0 * grid)
     averaged = np.array([p_avg(float(r), 1e-2) for r in grid])
