@@ -17,9 +17,8 @@ oracles.
 from .errors import (BracketError, DonorHaloError, MaterialError,
                      MissingParameterError, NonPerturbativeRegimeError,
                      NumericalError)
-from .fields import (EfgComponents, FieldPoint, Geometry, Radius, coulomb_field,
-                     donor_field, efg_transform, hyperfine_field_instant,
-                     screening_fraction)
+from .fields import (EfgComponents, FieldPoint, Geometry, coulomb_field, donor_field,
+                     efg_transform, hyperfine_field_instant, screening_fraction)
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, TelegraphEstimate,
                        gamma_ceiling, invert_power, occupancy, power_closed_form,
                        power_map, simulate_telegraph, spectral_density,

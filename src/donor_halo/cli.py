@@ -1,7 +1,7 @@
 """Command-line driver.
 
     donor-halo <command> [--material NAME] [--config FILE] [--set key=value]...
-               [--out PATH] [--format csv|svg|report] [--seed N] [options]
+               [--out PATH] [--format csv|svg] [options]
 
 Commands
 --------
@@ -12,12 +12,14 @@ radius     quadrupolar radius versus the competition amplitude
 power      excitation-power sweep (columns p_over_p0, occupancy,
            nf_over_na, s_rho_q, alpha_n, diffusion_flag)
 validity   regime report for one operating point
-verify     run the verification suites; nonzero exit on any failure
+verify     run the verification suites (--seed N seeds the Monte Carlo);
+           nonzero exit on any failure
 materials  list the registry, or dump one record with --material
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure,
 4 verification failure.  CSV outputs carry a '#' metadata header and
-are byte-identical for identical configuration and seed.
+are byte-identical for identical configuration.  ``--format`` applies to
+profile, radius and power.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a material field (repeatable)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
 
     p = sub.add_parser("profile", help="polarization profile curves")
     common(p)
@@ -90,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validity", help="regime report for one operating point")
     common(p)
-    p.add_argument("--format", choices=("report",), default=None)
     p.add_argument("--field", type=float, default=None, help="magnetic field, T")
     p.add_argument("--r", type=float, default=None, help="distance, a0* units")
     p.add_argument("--occupancy", type=float, default=None)
@@ -99,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suites")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
     p.add_argument("--suite", action="append", default=None,
                    choices=VERIFY_SUITES, help="run only this suite (repeatable)")
     p.add_argument("--dwell", type=int, default=None,

@@ -9,8 +9,7 @@ frame transformation of that tensor (``oracles.efg_transform_rotation``
 rotates the tensor numerically to check it).
 
 Radial arguments are plain floats in units of the effective Bohr
-radius; pass a :class:`Radius` to supply metres explicitly.  All
-functions are pure.
+radius.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -24,26 +23,6 @@ import numpy as np
 from .errors import MaterialError, NumericalError
 from .materials import E_CHARGE, EPSILON_0, HBAR, MaterialRecord
 from .numerics import as_operand
-
-
-class Radius(NamedTuple):
-    """Unit-tagged radial distance (``unit`` is ``"bohr"`` or ``"m"``)."""
-
-    value: float
-    unit: str = "bohr"
-
-    def in_bohr(self, bohr_radius: float) -> float:
-        if self.unit == "bohr":
-            return self.value
-        if self.unit == "m":
-            return self.value / bohr_radius
-        raise MaterialError(f"unknown radius unit {self.unit!r}")
-
-
-def _as_bohr(r: float | Radius, mat: MaterialRecord) -> float:
-    if isinstance(r, Radius):
-        return r.in_bohr(mat.bohr_radius)
-    return float(r)
 
 
 @dataclass(frozen=True)
@@ -77,7 +56,6 @@ class Geometry:
 class FieldPoint:
     """Electric-field state at one distance from the donor."""
 
-    r_bohr: float        # distance in units of a0*
     e_off: float         # ionized-donor field, V/m
     screening: float     # enclosed-charge fraction s(r)
     e_on: float          # field with the electron present, V/m
@@ -132,39 +110,35 @@ def screening_density(r_bohr):
     return 4.0 * r * r * exp(-2.0 * r)
 
 
-def coulomb_field(r: float | Radius, mat: MaterialRecord) -> float:
-    """Unscreened donor field e / (4 pi eps eps0 r^2) in V/m."""
-    r_b = _as_bohr(r, mat)
-    if r_b <= 0.0:
+def coulomb_field(r: float, mat: MaterialRecord) -> float:
+    """Unscreened donor field e / (4 pi eps eps0 r^2) in V/m (r in a0* units)."""
+    if r <= 0.0:
         raise MaterialError("field diverges at the donor site; r must be positive")
-    r_m = r_b * mat.bohr_radius
+    r_m = r * mat.bohr_radius
     denominator = 4.0 * math.pi * mat.epsilon * EPSILON_0 * r_m * r_m
     field = E_CHARGE / denominator if denominator else math.inf
     if field == math.inf:
-        raise NumericalError(f"Coulomb field at r = {r_b:g} a0* is out of float range; "
+        raise NumericalError(f"Coulomb field at r = {r:g} a0* is out of float range; "
                              "check r, bohr_radius and epsilon")
     return field
 
 
-def donor_field(r: float | Radius, occupancy: float, mat: MaterialRecord) -> FieldPoint:
-    """Electric-field state at distance r for donor occupancy in [0, 1]."""
+def donor_field(r: float, occupancy: float, mat: MaterialRecord) -> FieldPoint:
+    """Electric-field state at distance r (a0* units) for donor occupancy in [0, 1]."""
     if not 0.0 <= occupancy <= 1.0:
         raise MaterialError("occupancy must lie in [0, 1]")
-    r_b = _as_bohr(r, mat)
-    e_off = coulomb_field(r_b, mat)
-    s = screening_fraction(r_b)
+    e_off = coulomb_field(r, mat)
+    s = screening_fraction(r)
     f0q = HBAR * mat.gamma * (1.0 - s * occupancy) * mat.b_q * e_off
-    return FieldPoint(r_bohr=r_b, e_off=e_off, screening=s,
-                      e_on=e_off * (1.0 - s), f0q=f0q)
+    return FieldPoint(e_off=e_off, screening=s, e_on=e_off * (1.0 - s), f0q=f0q)
 
 
-def hyperfine_field_instant(r: float | Radius, mat: MaterialRecord) -> float:
-    """Instant hyperfine field b_e*(a0*) exp(-2 (r/a0* - 1)), in T."""
+def hyperfine_field_instant(r: float, mat: MaterialRecord) -> float:
+    """Instant hyperfine field b_e*(a0*) exp(-2 (r/a0* - 1)), in T (r in a0* units)."""
     anchor = mat.require_hyperfine_field()
-    r_b = _as_bohr(r, mat)
-    if r_b < 0.0:
+    if r < 0.0:
         raise MaterialError("radius must be non-negative")
-    return anchor * math.exp(-2.0 * (r_b - 1.0))
+    return anchor * math.exp(-2.0 * (r - 1.0))
 
 
 # --- EFG frame transformation -------------------------------------------

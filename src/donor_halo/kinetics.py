@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BracketError, MaterialError, NumericalError
 from .materials import MaterialRecord
-from .numerics import all_true, any_true, as_operand, solve
+from .numerics import MAX_STEPS, all_true, any_true, as_operand, solve
 
 #: below this donor occupancy, bulk spin diffusion dominates the nuclear
 #: polarization and the local steady-state model loses validity
@@ -132,20 +132,29 @@ def telegraph_p_matrix(tau: float, tau_occupied: float, tau_empty: float) -> np.
     return stationary[None, :] + (np.eye(2) - stationary[None, :]) * decay
 
 
+#: relative mismatch allowed between a given occupancy and the one its
+#: dwell times imply
+_OCCUPANCY_RTOL = 1e-9
+
+
+def _require_consistent(occ: float, tau_occupied: float, tau_empty: float) -> None:
+    """MaterialError unless occ matches tau_occupied/(tau_occupied+tau_empty)."""
+    if min(tau_occupied, tau_empty) <= 0.0:
+        raise MaterialError("dwell times must be positive")
+    implied = tau_occupied / (tau_occupied + tau_empty)
+    if abs(implied - occ) > _OCCUPANCY_RTOL * max(occ, implied, 1e-300):
+        raise MaterialError(
+            f"inconsistent occupancy: given {occ}, dwell times imply {implied}"
+        )
+
+
 def telegraph_correlation(tau: float, occ: float, screening: float,
-                          tau_occupied: float, tau_empty: float,
-                          rtol: float = 1e-9) -> float:
+                          tau_occupied: float, tau_empty: float) -> float:
     """Exact autocorrelation of the field modulation at lag tau.
 
     The supplied occupancy must match tau_occupied/(tau_occupied+tau_empty).
     """
-    if min(tau_occupied, tau_empty) <= 0.0:
-        raise MaterialError("dwell times must be positive")
-    implied = tau_occupied / (tau_occupied + tau_empty)
-    if abs(implied - occ) > rtol * max(occ, implied, 1e-300):
-        raise MaterialError(
-            f"inconsistent occupancy: given {occ}, dwell times imply {implied}"
-        )
+    _require_consistent(occ, tau_occupied, tau_empty)
     amplitude = telegraph_amplitude(occ, screening)
     return amplitude * math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
 
@@ -221,9 +230,7 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
         raise MaterialError(f"need at least {MIN_DWELL} dwell events")
     if not 0.0 < screening < 1.0:
         raise MaterialError("simulation needs a nonzero modulation depth")
-    implied = tau_occupied / (tau_occupied + tau_empty)
-    if abs(implied - occ) > 1e-9 * max(occ, implied):
-        raise MaterialError("occupancy inconsistent with dwell times")
+    _require_consistent(occ, tau_occupied, tau_empty)
     rng = np.random.default_rng(seed)
     first_occupied = bool(rng.random() < occ)
     # state sequence alternates, so dwell means alternate too
@@ -384,8 +391,11 @@ def power_closed_form(gamma_t: float, mat: MaterialRecord) -> float:
     return power_scale(mat) * (gamma_t + xi * ratio) / (1.0 - xi) ** 2
 
 
-def invert_power(power, mat: MaterialRecord, rtol: float = 1e-10,
-                 max_iter: int = 200):
+#: relative power mismatch at which invert_power stops
+_POWER_RTOL = 1e-10
+
+
+def invert_power(power, mat: MaterialRecord):
     """Occupancy sustained by a given power density (bisection).
 
     The power map is strictly increasing on (0, gamma_ceiling) and onto
@@ -407,18 +417,18 @@ def invert_power(power, mat: MaterialRecord, rtol: float = 1e-10,
         raise BracketError(f"power {np.min(power):.6g} W/m^2 is below {floor:.6g} W/m^2, "
                            f"which sustains occupancy {lo:g}")
     if not isinstance(power, float):
-        tol = rtol * power
+        tol = _POWER_RTOL * power
         occ = solve(lambda g: power_map(g, mat).power - power,
                     np.full(power.shape, lo), np.full(power.shape, hi),
-                    what="power inversion", max_iter=max_iter,
+                    what="power inversion",
                     done=lambda g, f, lo, hi: (np.abs(f) <= tol) | (hi - lo <= resolved * hi))
         return np.where(power_map(hi, mat).power < power, hi, occ)
     if power_map(hi, mat).power < power:
         return hi             # asymptotic plateau beyond any finite bracket
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)
         value = power_map(mid, mat).power
-        if abs(value - power) <= rtol * power:
+        if abs(value - power) <= _POWER_RTOL * power:
             return mid
         if hi - lo <= resolved * hi:
             # occupancy resolved to machine precision; near the ceiling

@@ -33,6 +33,8 @@ from .errors import BracketError, NumericalError
 NEWTON_RESOLUTION = 8.0 * np.finfo(float).eps
 #: doublings of a bracket before expand_bracket gives up: 2^60 widths
 _MAX_EXPANSIONS = 60
+#: steps of solve, and of the scalar power bisection, before they give up
+MAX_STEPS = 200
 #: Gauss-Legendre nodes per panel: exact for polynomials of degree 47
 GAUSS_NODES = 24
 
@@ -86,7 +88,7 @@ def expand_bracket(func: Callable[[np.ndarray], np.ndarray], lo, hi, *,
 def solve(func: Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarray]"],
           lo, hi, *, what: str,
           done: "Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None" = None,
-          newton: bool = False, max_iter: int = 200) -> np.ndarray:
+          newton: bool = False) -> np.ndarray:
     """Lockstep root finder for an increasing func over arrays of brackets.
 
     Each bracket [lo, hi] must hold its root.  Every step evaluates func
@@ -102,12 +104,12 @@ def solve(func: Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarra
     With newton=True it stops where the Newton step or the bracket is
     below a few ulps of x (f == 0 gives a zero step), and its result is x
     minus that last step.  Raises NumericalError when an element has not
-    stopped after max_iter steps.
+    stopped after MAX_STEPS steps.
     """
     lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
     x = 0.5 * (lo + hi)
     active = np.ones(x.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         # stopped elements keep their result in x; evaluating them again
         # is cheaper than gathering the active ones
         if newton:
@@ -137,7 +139,7 @@ def solve(func: Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarra
         np.copyto(x, x_next, where=active)
     bad = int(np.flatnonzero(active)[0])
     raise NumericalError(
-        f"{what} did not converge in {max_iter} steps on [{lo.flat[bad]}, {hi.flat[bad]}]")
+        f"{what} did not converge in {MAX_STEPS} steps on [{lo.flat[bad]}, {hi.flat[bad]}]")
 
 
 @functools.cache

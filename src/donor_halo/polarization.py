@@ -63,26 +63,42 @@ def _angular_denominator(theta):
 def p_point(r, theta, f0):
     """Normalized steady polarization at (r, theta) for ratio amplitude f0.
 
-    Takes floats or arrays (broadcast together).
+    Takes floats or arrays (broadcast together).  Where f0 * phi(r)
+    overflows, the polarization is its limit 1.
     """
     r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
-    f = f0 * radial_profile(r) / _angular_denominator(theta)
-    return f / (1.0 + f)
+    phi, denominator = radial_profile(r), _angular_denominator(theta)
+    if isinstance(phi, float) and isinstance(f0, float) and isinstance(denominator, float):
+        f = f0 * phi / denominator
+        return 1.0 if f == math.inf else f / (1.0 + f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = f0 * phi / denominator
+        p = f / (1.0 + f)
+    p[f == math.inf] = 1.0
+    return p
 
 
 def p_avg(r, f0):
     """Sphere-averaged polarization, closed form.
 
     With a = f0 * phi(r) the average over the solid angle is
-    a / sqrt(3 (1+a)) * arctan(sqrt(3 / (1+a))).  Takes floats or arrays.
+    a / sqrt(3 (1+a)) * arctan(sqrt(3 / (1+a))), or its limit 1 where a
+    overflows.  Takes floats or arrays.
     """
     r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
-    a = f0 * radial_profile(r)
-    if isinstance(a, float):
+    phi = radial_profile(r)
+    if isinstance(phi, float) and isinstance(f0, float):
+        a = f0 * phi
+        if a == math.inf:
+            return 1.0
         root = math.sqrt(1.0 + a)
         return a / (_SQRT3 * root) * math.atan(_SQRT3 / root)
-    root = np.sqrt(1.0 + a)
-    return a / (_SQRT3 * root) * np.arctan(_SQRT3 / root)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = f0 * phi
+        root = np.sqrt(1.0 + a)
+        p = a / (_SQRT3 * root) * np.arctan(_SQRT3 / root)
+    p[a == math.inf] = 1.0
+    return p
 
 
 def _radius_where(f0, a):
@@ -195,17 +211,14 @@ def _hyperfine_rate(r: float, state: KineticState, b_field: float,
     return rates(r, Geometry(), state, b_field, mat).inv_t1h
 
 
-def calibrate_diffusion(state: KineticState, b_field: float, mat: MaterialRecord,
-                        target: float = RHO_D_REFERENCE) -> float:
-    """Diffusion constant (m^2/s) placing the no-quadrupolar balance at target.
+def calibrate_diffusion(state: KineticState, b_field: float, mat: MaterialRecord) -> float:
+    """Diffusion constant (m^2/s) placing the no-quadrupolar balance at RHO_D_REFERENCE.
 
     Chosen once so that the hyperfine rate alone equals D/rho^2 at the
     reference radius, on the outward (decreasing) branch; then held fixed.
     """
-    if target <= 0.5:
-        raise MaterialError("calibration target must sit on the outer branch")
-    r_m = target * mat.bohr_radius
-    return r_m * r_m * _hyperfine_rate(target, state, b_field, mat)
+    r_m = RHO_D_REFERENCE * mat.bohr_radius
+    return r_m * r_m * _hyperfine_rate(RHO_D_REFERENCE, state, b_field, mat)
 
 
 class DiffusionRadius(NamedTuple):
@@ -215,8 +228,7 @@ class DiffusionRadius(NamedTuple):
 
 def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: float,
                      mat: MaterialRecord, *, include_quadrupolar: bool = True,
-                     f0: float | None = None, r_max: float = 60.0,
-                     tol: float = 1e-6) -> DiffusionRadius:
+                     f0: float | None = None) -> DiffusionRadius:
     """Largest radius where direct relaxation still matches spin diffusion.
 
     Balances the geometry-averaged total relaxation rate against
@@ -249,7 +261,7 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
         r_m = r * mat.bohr_radius
         return rate * r_m * r_m - diffusion_constant
 
-    grid = np.geomspace(1e-3, r_max, 600)
+    grid = np.geomspace(1e-3, 60.0, 600)
     values = excess(grid)
     crossings = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if crossings.size == 0 or values[crossings[-1]] <= 0.0:
@@ -258,7 +270,7 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     left = crossings[-1]
     # excess falls through zero on [grid[left], grid[left + 1]]
     root = solve(lambda r: -excess(r), grid[left:left + 1], grid[left + 1:left + 2],
-                 what="diffusion radius", done=lambda r, f, lo, hi: hi - lo < tol)
+                 what="diffusion radius", done=lambda r, f, lo, hi: hi - lo < 1e-6)
     return DiffusionRadius(value=float(root[0]), has_solution=True)
 
 
@@ -280,8 +292,7 @@ class PowerSweep:
 
 
 def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
-                rho_d: float = RHO_D_REFERENCE, quadrupolar: bool = True,
-                gamma_min: float = GAMMA_MIN_DIFFUSION) -> PowerSweep:
+                quadrupolar: bool = True) -> PowerSweep:
     """Sweep the excitation power and track the reduced nuclear field.
 
     Per point: occupancy by inverting the power map; free-electron
@@ -289,11 +300,11 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
     occupancy; the quadrupolar radius (capped by the diffusion radius)
     and its screening fraction; and the reduced nuclear field
     alpha_n = [occ N_D / (n_f + occ N_D)] * s(rho).  Points below
-    gamma_min are computed anyway but flagged: there bulk spin diffusion
-    dominates and the local model is not valid.
+    GAMMA_MIN_DIFFUSION are computed anyway but flagged: there bulk spin
+    diffusion dominates and the local model is not valid.
 
-    With quadrupolar=False the radius saturates at the diffusion cap, the
-    no-relaxation ceiling.
+    The diffusion cap is RHO_D_REFERENCE.  With quadrupolar=False the
+    radius saturates at that cap, the no-relaxation ceiling.
     """
     grid = np.asarray(p_over_p0, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0):
@@ -302,9 +313,10 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
     occ = invert_power(grid * power_scale(mat), mat)
     nf = power_map(occ, mat).free_density
     if quadrupolar:
-        rho_eff = np.minimum(quadrupolar_radius(f00 / (occ * (1.0 - occ))), rho_d)
+        rho_eff = np.minimum(quadrupolar_radius(f00 / (occ * (1.0 - occ))),
+                             RHO_D_REFERENCE)
     else:
-        rho_eff = np.full_like(grid, rho_d)
+        rho_eff = np.full_like(grid, RHO_D_REFERENCE)
     s_rho = screening_fraction(rho_eff)
     trapped = occ * mat.donor_density
     return PowerSweep(
@@ -313,8 +325,8 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
         nf_over_na=nf / mat.acceptor_density,
         s_rho_q=s_rho,
         alpha_n=trapped / (nf + trapped) * s_rho,
-        diffusion_flag=occ < gamma_min,
+        diffusion_flag=occ < GAMMA_MIN_DIFFUSION,
         f00=f00,
-        rho_d=rho_d,
+        rho_d=RHO_D_REFERENCE,
         quadrupolar=quadrupolar,
     )

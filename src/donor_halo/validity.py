@@ -65,25 +65,25 @@ class SpinTemperatureLimit:
     b_field: float  # field the solve was mapped to, T
 
 
-def spin_temperature_eta(mat: MaterialRecord, reference_field: float = 1.0) -> float:
+def spin_temperature_eta(mat: MaterialRecord) -> float:
     """Power-law prefactor of the spin-temperature radius, in closed form.
 
     The worst-case shift is C / r^4 with C = |shift(r)| r^4 independent of
     r, so the condition |d(shift)/dr| * d = hbar gamma I B_L for
     neighboring same-isotope nuclei (spacing d, taken along the radial
     worst case) holds at r = (4 C d / (hbar gamma I B_L))^(1/5).  The
-    shift scales as 1/B, so r = eta * B^(-1/5) with eta independent of the
-    reference field.  ``oracles.spin_temperature_eta_bisection`` solves
-    the same condition numerically.
+    shift scales as 1/B, so r = eta * B^(-1/5) with eta the radius at
+    1 T.  ``oracles.spin_temperature_eta_bisection`` solves the same
+    condition numerically.
     """
     if mat.spin < 1.0:
         raise MaterialError("spin-temperature limit needs a quadrupolar nucleus")
     target = HBAR * mat.gamma * mat.spin * mat.local_field
     r_m = mat.bohr_radius
     try:
-        c = abs(_worst_case_shift(r_m, reference_field, mat)) * r_m ** 4
+        c = abs(_worst_case_shift(r_m, 1.0, mat)) * r_m ** 4
         ratio = 4.0 * c * mat.neighbor_spacing / target if target > 0.0 else math.inf
-        eta = ratio ** 0.2 * reference_field ** 0.2
+        eta = ratio ** 0.2
     except (ZeroDivisionError, OverflowError):
         eta = math.inf
     if not 0.0 < eta < math.inf:
@@ -92,12 +92,11 @@ def spin_temperature_eta(mat: MaterialRecord, reference_field: float = 1.0) -> f
     return eta
 
 
-def spin_temperature_limit(b_field: float, mat: MaterialRecord,
-                           reference_field: float = 1.0) -> SpinTemperatureLimit:
+def spin_temperature_limit(b_field: float, mat: MaterialRecord) -> SpinTemperatureLimit:
     """Radius outside which a nuclear spin temperature exists at this field."""
     if b_field <= 0.0:
         raise MaterialError("b_field must be positive")
-    eta = spin_temperature_eta(mat, reference_field)
+    eta = spin_temperature_eta(mat)
     return SpinTemperatureLimit(eta=eta, r_q=eta * b_field ** -0.2, b_field=b_field)
 
 

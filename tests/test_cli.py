@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,8 +66,8 @@ def test_profile_reproducible(tmp_path):
 
 def test_power_reproducible(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli("power", "--points", "11", "--seed", "3", "--out", str(a))[0] == 0
-    assert run_cli("power", "--points", "11", "--seed", "3", "--out", str(b))[0] == 0
+    assert run_cli("power", "--points", "11", "--out", str(a))[0] == 0
+    assert run_cli("power", "--points", "11", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -180,6 +182,25 @@ def test_verify_help_lists_suites(capsys):
     assert "--suite {exact-oracles,properties,reference-numbers,telegraph-mc}" in out
 
 
+@pytest.mark.parametrize("argv", [["profile", "--seed", "1"],
+                                  ["validity", "--format", "report"]])
+def test_options_no_command_reads_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_takes_a_seed(capsys):
+    def mc(seed):
+        cli.main(["verify", "--suite", "telegraph-mc", "--dwell", "2000", "--seed", seed])
+        return capsys.readouterr().out
+
+    first = mc("1")
+    assert "telegraph-mc/symmetric-dwell" in first
+    assert mc("1") == first and mc("2") != first
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "--suite", "bogus"])
@@ -188,8 +209,12 @@ def test_verify_rejects_unknown_suite(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the package this process imported, installed or not
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "donor_halo.cli", "--version"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "donor-halo" in result.stdout
 
@@ -325,7 +350,6 @@ def test_validity_out_of_float_range_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["profile", "--f0", "1e308"],          # p_avg overflows to inf / inf
     ["profile", "--r-min", "1e-300"],      # s(r) underflows to 0 in phi(r)
     ["validity", "--field", "1e308"],      # w1*tau overflows
 ])
@@ -337,6 +361,15 @@ def test_non_finite_results_exit_3_and_write_nothing(argv, tmp_path, capsys):
     assert err.endswith(" is not finite; nothing was written\n")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_profile_where_f0_phi_overflows_is_fully_polarized(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err("profile", "--f0", "1e308", "--out", str(out), capsys=capsys)
+    assert code == 0 and err == ""
+    header, _, data = read_csv(out)
+    assert np.all(data[:, 1:] == 1.0)
+    assert "# rho_q = 183.361984" in header
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from donor_halo import (Geometry, MaterialError, MissingParameterError, Radius,
-                        coulomb_field, donor_field, efg_transform, get_material,
+from donor_halo import (Geometry, MaterialError, MissingParameterError, coulomb_field,
+                        donor_field, efg_transform, get_material,
                         hyperfine_field_instant, screening_fraction)
 from donor_halo.fields import field_direction, screening_density
 from donor_halo.materials import E_CHARGE, EPSILON_0, HBAR
@@ -71,14 +71,6 @@ def test_donor_field_point(gaas):
     assert point.f0q == pytest.approx(expected_f0q, rel=1e-14)
     with pytest.raises(MaterialError):
         donor_field(1.0, 1.5, gaas)
-
-
-def test_radius_units(gaas):
-    in_bohr = donor_field(0.5, 0.0, gaas)
-    in_meters = donor_field(Radius(0.5 * gaas.bohr_radius, "m"), 0.0, gaas)
-    assert in_meters.e_off == pytest.approx(in_bohr.e_off, rel=1e-14)
-    with pytest.raises(MaterialError):
-        Radius(1.0, "furlong").in_bohr(gaas.bohr_radius)
 
 
 def test_hyperfine_field_profile(gaas):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, MaterialError, gamma_ceiling,
-                        invert_power, occupancy, power_closed_form, power_map,
-                        spectral_density, state_for_occupancy,
-                        telegraph_correlation)
+                        get_material, invert_power, list_materials, occupancy,
+                        power_closed_form, power_map, spectral_density,
+                        state_for_occupancy, telegraph_correlation)
 from donor_halo.kinetics import (hyperfine_correlation_amplitude, power_scale,
                                  telegraph_amplitude, telegraph_p_matrix)
 from donor_halo.oracles import (power_map_residuals, spectral_density_quadrature,
@@ -181,6 +181,37 @@ def test_invert_power_meets_the_power_tolerance_at_low_power(gaas):
     assert array[0] == scalar
     for occ, target in zip(array, (power, 1e-8 * power_scale(gaas))):
         assert abs(power_map(float(occ), gaas).power - target) <= 1e-10 * target
+
+
+def _exact_occupancy(power, mat):
+    """The occupancy power_map sends to power, solved in closed form.
+
+    The generation g = P / (L h nu) equals k m (m + N_A) with
+    m = n_f + gamma N_D, and gamma is the smaller root of
+    c N_D gamma^2 - [m (c + k) + c N_D + k N_A] gamma + c m = 0, c = sigma_c v.
+    Both roots are taken in the forms that do not cancel, and the
+    discriminant as a sum of non-negative terms.
+    """
+    c, k = mat.sigma_capture * mat.velocity, mat.bimolecular_k
+    n_a, n_d = mat.acceptor_density, mat.donor_density
+    g_over_k = power / (mat.diffusion_length * mat.photon_energy) / k
+    m = 2.0 * g_over_k / (n_a + math.sqrt(n_a * n_a + 4.0 * g_over_k))
+    b = m * (c + k) + c * n_d + k * n_a
+    disc = (c * (m - n_d)) ** 2 + 2.0 * c * k * (m + n_d) * (m + n_a) \
+        + (k * (m + n_a)) ** 2
+    return 2.0 * c * m / (b + math.sqrt(disc))
+
+
+@pytest.mark.parametrize("name", list_materials())
+def test_invert_power_matches_the_exact_root(name):
+    mat = get_material(name)
+    powers = np.geomspace(1e-12, 1e6, 73) * power_scale(mat)
+    swept = invert_power(powers, mat)
+    for power, in_sweep in zip(powers, swept):
+        exact = _exact_occupancy(float(power), mat)
+        alone = invert_power(float(power), mat)
+        assert abs(alone - exact) <= 2e-10 * exact, (power, alone, exact)
+        assert abs(in_sweep - exact) <= 2e-10 * exact, (power, in_sweep, exact)
 
 
 def test_invert_power_rejects_power_below_the_bracket(gaas):

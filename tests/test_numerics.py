@@ -29,9 +29,9 @@ def test_expand_bracket_widens_either_end():
 
 
 def test_solve_raises_when_out_of_iterations():
-    with pytest.raises(NumericalError, match="did not converge") as err:
-        solve(lambda x: x - 0.3, [0.0], [1.0], what="test root",
-              done=_width_below(1e-12), max_iter=5)
+    # a step function is never 0, so only the step limit stops the search
+    with pytest.raises(NumericalError, match="did not converge in 200 steps") as err:
+        solve(lambda x: np.where(x < 0.3, -1.0, 1.0), [0.0], [1.0], what="test root")
     assert not isinstance(err.value, BracketError)
     root = solve(lambda x: x - 0.3, [0.0], [1.0], what="test root",
                  done=_width_below(1e-12))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def test_sphere_average_reference_point():
 def test_sphere_average_limits():
     assert p_avg(1e-3, 1.0) > 0.999     # saturated close to the donor
     assert p_avg(8.0, 1e-4) < 1e-9      # vanishing far out
+
+
+def test_polarization_is_one_where_f0_phi_overflows():
+    # f0 * phi(r) overflows to inf at r <= 0.1; the result is the limit 1 on the
+    # float and the array path, with no floating-point warning
+    r = np.array([0.05, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert p_point(0.05, 0.0, 1e308) == 1.0 and p_avg(0.05, 1e308) == 1.0
+        assert list(p_point(r, math.pi / 2.0, 1e308)) == [1.0, 1.0]
+        assert list(p_point(0.05, np.array([0.0, 1.0]), 1e308)) == [1.0, 1.0]
+        assert list(p_avg(r, 1e308)) == [1.0, 1.0]
+        assert p_avg(0.05, np.array([1e308, 1e-2]))[1] == p_avg(0.05, 1e-2)
 
 
 def test_quadrupolar_radius_reference():
