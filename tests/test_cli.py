@@ -352,6 +352,7 @@ def test_validity_out_of_float_range_exits_3(capsys):
 @pytest.mark.parametrize("argv", [
     ["profile", "--r-min", "1e-300"],      # s(r) underflows to 0 in phi(r)
     ["validity", "--field", "1e308"],      # w1*tau overflows
+    ["validity", "--field", "1e300"],      # wH*tau overflows while w1*tau stays finite
 ])
 def test_non_finite_results_exit_3_and_write_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out.txt"
