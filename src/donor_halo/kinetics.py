@@ -221,25 +221,39 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     estimator counts samples instead of multiplying them: each dwell is
     mapped to its run of grid samples, and for every lag k the sum of
     h_i h_(i+k) over a block of L samples is
-    n_ee h_empty^2 + n_eo h_empty h_occupied + n_oo h_occupied^2, where
-    the pair counts follow from the occupied counts of the block and of
-    its k-shifted copy and from the occupied-occupied pairs.  Blocks are
-    laid out per lag as (n_samples - k) // n_blocks consecutive samples.
+    n_ee h_empty^2 + n_eo h_empty h_occupied + n_oo h_occupied^2.  The
+    occupied counts of a block and of its k-shifted copy come from the
+    dwell runs.  The occupied-occupied pairs n_oo come from the occupied
+    samples packed 64 to a word: the words are ANDed with the same bits
+    read k places on (word offset k >> 6, bit shift k & 63), and the set
+    bits are counted per block as the popcounts of the whole words
+    between two block bounds, corrected by the bits below each bound in
+    its own word.  Every count is an exact integer.  Blocks are laid out
+    per lag as (n_samples - k) // n_blocks consecutive samples.
     """
     if n_dwell < MIN_DWELL:
         raise MaterialError(f"need at least {MIN_DWELL} dwell events")
+    if n_lags < 2:
+        raise MaterialError(f"need at least 2 lags to fit a decay, got {n_lags}")
+    if n_blocks < 2:
+        raise MaterialError(f"need at least 2 blocks for a standard error, got {n_blocks}")
+    if not (math.isfinite(samples_per_dwell) and samples_per_dwell > 0.0):
+        raise MaterialError(
+            f"samples per dwell must be finite and positive, got {samples_per_dwell}")
     if not 0.0 < screening < 1.0:
         raise MaterialError("simulation needs a nonzero modulation depth")
     _require_consistent(occ, tau_occupied, tau_empty)
     rng = np.random.default_rng(seed)
     first_occupied = bool(rng.random() < occ)
-    # state sequence alternates, so dwell means alternate too
-    means = np.empty(n_dwell)
+    # the state sequence alternates, so dwell means alternate too;
+    # exponential(scale) draws scale * standard_exponential()
+    durations = rng.standard_exponential(n_dwell)
     if first_occupied:
-        means[0::2], means[1::2] = tau_occupied, tau_empty
+        durations[0::2] *= tau_occupied
+        durations[1::2] *= tau_empty
     else:
-        means[0::2], means[1::2] = tau_empty, tau_occupied
-    durations = rng.exponential(means)
+        durations[0::2] *= tau_empty
+        durations[1::2] *= tau_occupied
     edges = np.cumsum(durations)
     total = float(edges[-1])
     h_empty, h_occ = telegraph_values(occ, screening)
@@ -257,15 +271,42 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     counts = np.diff(starts, append=n_samples)
     dwell_occupied = np.zeros(n_dwell, dtype=bool)
     dwell_occupied[0 if first_occupied else 1::2] = True
-    occupied = np.repeat(dwell_occupied, counts)
     occupied_counts = np.where(dwell_occupied, counts, 0)
     occupied_before = np.cumsum(occupied_counts) - occupied_counts
+
+    # sample i is bit i & 63 of words[i >> 6]; the zero words past the last
+    # sample let a shifted read take words[j + 1] for every word j in use
+    packed = np.packbits(np.repeat(dwell_occupied, counts), bitorder="little")
+    words = np.zeros(n_samples // 64 + 2, dtype="<u8")
+    words.view(np.uint8)[:packed.size] = packed
+    pairs = np.empty_like(words)
 
     def occupied_per_block(first: int, length: int) -> np.ndarray:
         """Occupied samples in n_blocks consecutive blocks from sample `first`."""
         bounds = first + length * np.arange(n_blocks + 1)
         j = np.searchsorted(starts, bounds, side="right") - 1
         return np.diff(occupied_before[j] + dwell_occupied[j] * (bounds - starts[j]))
+
+    def occupied_pairs_per_block(k: int, length: int) -> np.ndarray:
+        """Samples i with i and i + k occupied, in n_blocks blocks from sample 0."""
+        shift, bit = k >> 6, k & 63
+        n_words = (length * n_blocks >> 6) + 1
+        both = pairs[:n_words]
+        if bit:
+            np.right_shift(words[shift:shift + n_words], bit, out=both)
+            both |= words[shift + 1:shift + n_words + 1] << (64 - bit)
+            both &= words[:n_words]
+        else:
+            np.bitwise_and(words[:n_words], words[shift:shift + n_words], out=both)
+        bounds = length * np.arange(n_blocks + 1)
+        word = bounds >> 6
+        # pairs in the whole words from word[b] up to word[b + 1]; reduceat
+        # gives a single word where the two are equal, which must count 0
+        spans = np.add.reduceat(np.bitwise_count(both), word, dtype=np.int64)[:-1]
+        spans[word[1:] == word[:-1]] = 0
+        low_bits = (np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1)
+        in_word = np.bitwise_count(both[word] & low_bits)
+        return spans + np.diff(in_word.astype(np.int64))
 
     block_len = n_samples // n_blocks
     n_occ = occupied_per_block(0, block_len)
@@ -274,17 +315,12 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     mean_se = float(block_means.std(ddof=1) / math.sqrt(n_blocks))
 
     h_ee, h_eo, h_oo = h_empty * h_empty, h_empty * h_occ, h_occ * h_occ
-    both = np.empty(n_samples, dtype=bool)
     lags = np.arange(n_lags)
     acf = np.empty(n_lags)
     acf_se = np.empty(n_lags)
-    for k in lags:
+    for k in range(n_lags):
         pb_len = (n_samples - k) // n_blocks
-        usable = pb_len * n_blocks
-        np.logical_and(occupied[:usable], occupied[k:k + usable], out=both[:usable])
-        n_oo = np.fromiter(
-            (np.count_nonzero(row) for row in both[:usable].reshape(n_blocks, pb_len)),
-            dtype=np.int64, count=n_blocks)
+        n_oo = occupied_pairs_per_block(k, pb_len)
         n_lead = occupied_per_block(0, pb_len)
         n_lag = occupied_per_block(k, pb_len)
         n_eo = n_lead + n_lag - 2 * n_oo

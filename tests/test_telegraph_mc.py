@@ -151,6 +151,13 @@ def assert_matches_reference(occ, screening, tau_occupied, tau_empty, n_dwell,
          {"samples_per_dwell": 5.5, "n_lags": 40, "n_blocks": 100}),
         (3.0, 1.0, 4, False, 4,
          {"samples_per_dwell": 2.5, "n_lags": 2, "n_blocks": 2}),
+        # lags up to 62, 63, 64 and 129: a bit shift inside one word, the
+        # last bit shift, a whole-word offset and an offset past it
+        (1.0, 1.5, 5, False, 30_000, {"n_lags": 63, "n_blocks": 7}),
+        (3.0, 1.0, 6, True, 30_000, {"n_lags": 64, "n_blocks": 9}),
+        (1.0, 1.5, 7, False, 30_000, {"n_lags": 65, "n_blocks": 3}),
+        (3.0, 1.0, 8, True, 30_000, {"samples_per_dwell": 3.1, "n_lags": 130,
+                                     "n_blocks": 64}),
     ],
 )
 def test_estimator_matches_reference(tau_occupied, tau_empty, seed, first_occupied,
@@ -169,7 +176,7 @@ def test_estimator_matches_reference(tau_occupied, tau_empty, seed, first_occupi
     log_dwell=st.floats(math.log(4.0), math.log(2e5)),
     seed=st.integers(0, 2**32 - 1),
     samples_per_dwell=st.floats(1.5, 8.0),
-    n_lags=st.integers(2, 40),
+    n_lags=st.integers(2, 130),
     n_blocks=st.integers(2, 100),
 )
 def test_estimator_matches_reference_random(tau_occupied, tau_empty, screening,
@@ -180,6 +187,42 @@ def test_estimator_matches_reference_random(tau_occupied, tau_empty, screening,
                              int(math.exp(log_dwell)), seed,
                              samples_per_dwell=samples_per_dwell,
                              n_lags=n_lags, n_blocks=n_blocks)
+
+
+def test_estimator_matches_reference_on_whole_words():
+    # 18880 samples are 295 whole words, and 5 blocks of 59 words put every
+    # lag-0 block bound on a word boundary
+    occ, seed, options = 0.4, 68, {"n_lags": 65, "n_blocks": 5}
+    est = simulate_telegraph(occ, SCREEN, 1.0, 1.5, n_dwell=3000, seed=seed, **options)
+    assert int(est.total_time / 0.2) == 18880 == 295 * 64
+    assert_matches_reference(occ, SCREEN, 1.0, 1.5, 3000, seed, **options)
+
+
+@pytest.mark.parametrize("n", [16_000, 256_000])
+@pytest.mark.parametrize("seed", [20260810, 1000])
+def test_amplitude_does_not_depend_on_lag_count(n, seed):
+    # properties/mc-convergence reads only the amplitude and asks for 4 lags
+    short = simulate_telegraph(0.25, SCREEN, 1.0, 3.0, n_dwell=n, seed=seed, n_lags=4)
+    full = simulate_telegraph(0.25, SCREEN, 1.0, 3.0, n_dwell=n, seed=seed)
+    assert short.amplitude == full.amplitude
+
+
+@pytest.mark.parametrize(
+    "options, match",
+    [
+        ({"n_lags": 1}, "at least 2 lags"),
+        ({"n_lags": 0}, "at least 2 lags"),
+        ({"n_blocks": 1}, "at least 2 blocks"),
+        ({"n_blocks": 0}, "at least 2 blocks"),
+        ({"samples_per_dwell": 0.0}, "finite and positive"),
+        ({"samples_per_dwell": -1.0}, "finite and positive"),
+        ({"samples_per_dwell": math.nan}, "finite and positive"),
+        ({"samples_per_dwell": math.inf}, "finite and positive"),
+    ],
+)
+def test_estimator_rejects_bad_options(options, match):
+    with pytest.raises(MaterialError, match=match):
+        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=1000, seed=1, **options)
 
 
 def test_estimator_rejects_too_few_samples():
