@@ -24,7 +24,7 @@ from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, TelegraphEstimate,
                        power_map, simulate_telegraph, spectral_density,
                        state_for_occupancy, telegraph_correlation)
 from .materials import (MaterialRecord, compute_bq, get_material, list_materials,
-                        load_registry, scale_r14, thermal_velocity)
+                        load_registry)
 from .polarization import (DiffusionRadius, NuclearField, PowerSweep,
                            RadialProfile, calibrate_diffusion, diffusion_radius,
                            half_polarization_radius, nuclear_field, p_avg,

@@ -93,11 +93,48 @@ def screening_fraction(r_bohr):
     return out
 
 
-def _cdf_series(x, xp):
+def _series_sum(x):
     acc = 0.0
     for c in _SERIES:
         acc = acc * x + c
-    return x * x * x * xp.exp(-x) * acc
+    return acc
+
+
+def _cdf_series(x, xp):
+    return x * x * x * xp.exp(-x) * _series_sum(x)
+
+
+#: above x = 800 the tail (1 + x + x^2/2) e^-x is 0 in floats, so log s = 0
+_LOG_TAIL_END = 800.0
+
+
+def log_screening_fraction(r_bohr):
+    """log s(r), finite for every positive float r (a0* units).
+
+    With x = 2r: below x = 1 it is 3 log x - x + log sum x^k/(k+3)!, the
+    log of the series :func:`screening_fraction` sums, so it stays finite
+    where s itself underflows.  From x = 1 on it is
+    log1p(-(1 + x + x^2/2) e^-x), with x clipped to [1, 800] so that x^2
+    stays finite (Maechler, "Accurately computing log(1 - exp(-|a|))",
+    2012).  Takes a float or an array.
+    """
+    x = 2.0 * (r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr))
+    if isinstance(x, float):
+        if not x > 0.0:
+            raise MaterialError("radius must be positive")
+        if x < 1.0:
+            return 3.0 * math.log(x) - x + math.log(_series_sum(x))
+        x = min(x, _LOG_TAIL_END)
+        return math.log1p(-(1.0 + x + 0.5 * x * x) * math.exp(-x))
+    if not (x > 0.0).all():
+        raise MaterialError("radius must be positive")
+    tail = np.clip(x, 1.0, _LOG_TAIL_END)
+    out = np.log1p(-(1.0 + tail + 0.5 * tail * tail) * np.exp(-tail))
+    small = x < 1.0
+    if small.any():
+        xs = x[small]
+        out[small] = 3.0 * np.log(xs) - xs + np.log(_series_sum(xs))
+    return out
 
 
 def screening_density(r_bohr):

@@ -23,8 +23,6 @@ from .errors import MaterialError, MissingParameterError
 E_CHARGE = 1.602176634e-19          # C
 HBAR = 1.0545718176461565e-34       # J s
 EPSILON_0 = 8.8541878188e-12        # F/m
-K_BOLTZMANN = 1.380649e-23          # J/K
-M_ELECTRON = 9.1093837139e-31       # kg
 
 #: relative tolerance for the stored-vs-recomputed coupling consistency gate
 BQ_CONSISTENCY_RTOL = 0.10
@@ -50,24 +48,6 @@ def compute_bq(r14: float, quadrupole_moment: float, spin: float, gamma: float) 
         raise MaterialError(f"coupling ratio b_q = {ratio:g} is out of float range; "
                             "check r14, quadrupole_moment, spin and gamma")
     return ratio
-
-
-def scale_r14(r14_acoustic: float, r14_ref_nmr: float, r14_ref_acoustic: float) -> float:
-    """Rescale an acoustic-resonance R14 onto the NMR-calibrated scale.
-
-    Multiplies by the ratio of the two reference determinations for the
-    anchor nucleus; applied to the anchor itself it returns the NMR value.
-    """
-    if min(r14_acoustic, r14_ref_nmr, r14_ref_acoustic) <= 0.0:
-        raise MaterialError("all R14 inputs must be positive")
-    return r14_acoustic * (r14_ref_nmr / r14_ref_acoustic)
-
-
-def thermal_velocity(temperature: float, effective_mass_ratio: float) -> float:
-    """rms thermal velocity sqrt(3 kB T / m*) for a parabolic band."""
-    if temperature <= 0.0 or effective_mass_ratio <= 0.0:
-        raise MaterialError("temperature and effective mass must be positive")
-    return math.sqrt(3.0 * K_BOLTZMANN * temperature / (effective_mass_ratio * M_ELECTRON))
 
 
 def _require_half_integer(spin: float) -> None:

@@ -26,15 +26,12 @@ from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
                        power_map, power_scale)
 from .materials import MaterialRecord
 from .numerics import as_operand, gauss_legendre, solve
-from .relaxation import (intrinsic_ratio, radial_profile, radial_profile_inverse,
+from .relaxation import (intrinsic_ratio, log_radial_profile, radial_profile_inverse,
                          rates)
 
 #: no-quadrupolar spin-diffusion radius, in a0* units; the diffusion
 #: constant is calibrated so the rate/diffusion balance crosses here
 RHO_D_REFERENCE = 1.4
-
-_SQRT3 = math.sqrt(3.0)
-
 
 #: root a* of a / sqrt(3 (1+a)) * atan(sqrt(3 / (1+a))) = 1/2: the sphere
 #: average p_avg depends on r and f0 only through a = f0 * phi(r), so it
@@ -60,54 +57,54 @@ def _angular_denominator(theta):
     return 1.0 + 3.0 * cos(theta) ** 2
 
 
-def p_point(r, theta, f0):
-    """Normalized steady polarization at (r, theta) for ratio amplitude f0.
+def _log(x):
+    return math.log(x) if isinstance(x, float) else np.log(x)
 
-    Takes floats or arrays (broadcast together).  Where f0 * phi(r)
-    overflows, the polarization is its limit 1.
+
+#: f and a are built as exp(min(log, 700)): 1 + e^700 is finite and p = 1
+#: there in floats
+_LOG_RATIO_CAP = 700.0
+
+
+def p_point(r, theta, f0):
+    """Normalized steady polarization f/(1+f) at (r, theta) for ratio amplitude f0.
+
+    f = f0 * phi(r) / (1 + 3 cos^2 theta) is built from its log, so p is
+    finite for every positive float r and f0, never above 1, and exactly
+    1 where f exceeds e^700.  Takes floats or arrays (broadcast together).
     """
     r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
-    phi, denominator = radial_profile(r), _angular_denominator(theta)
-    if isinstance(phi, float) and isinstance(f0, float) and isinstance(denominator, float):
-        f = f0 * phi / denominator
-        return 1.0 if f == math.inf else f / (1.0 + f)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = f0 * phi / denominator
-        p = f / (1.0 + f)
-    p[f == math.inf] = 1.0
-    return p
+    log_phi, denominator = log_radial_profile(r), _angular_denominator(theta)
+    if isinstance(log_phi, float) and isinstance(f0, float) and isinstance(denominator, float):
+        f = math.exp(min(math.log(f0) + log_phi - math.log(denominator), _LOG_RATIO_CAP))
+    else:
+        f = np.exp(np.minimum(np.log(f0) + log_phi - np.log(denominator), _LOG_RATIO_CAP))
+    return f / (1.0 + f)
 
 
 def p_avg(r, f0):
     """Sphere-averaged polarization, closed form.
 
-    With a = f0 * phi(r) the average over the solid angle is
-    a / sqrt(3 (1+a)) * arctan(sqrt(3 / (1+a))), or its limit 1 where a
-    overflows.  Takes floats or arrays.
+    With a = f0 * phi(r) and t = sqrt(3 / (1+a)) the average over the
+    solid angle is a/(1+a) * arctan(t)/t.  Both factors are at most 1 in
+    floats, and a is built from its log as in :func:`p_point`.  Takes
+    floats or arrays.
     """
     r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
-    phi = radial_profile(r)
-    if isinstance(phi, float) and isinstance(f0, float):
-        a = f0 * phi
-        if a == math.inf:
-            return 1.0
-        root = math.sqrt(1.0 + a)
-        return a / (_SQRT3 * root) * math.atan(_SQRT3 / root)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = f0 * phi
-        root = np.sqrt(1.0 + a)
-        p = a / (_SQRT3 * root) * np.arctan(_SQRT3 / root)
-    p[a == math.inf] = 1.0
-    return p
+    log_a = _log(f0) + log_radial_profile(r)
+    if isinstance(log_a, float):
+        a = math.exp(min(log_a, _LOG_RATIO_CAP))
+        t = math.sqrt(3.0 / (1.0 + a))
+        return a / (1.0 + a) * (math.atan(t) / t)
+    a = np.exp(np.minimum(log_a, _LOG_RATIO_CAP))
+    t = np.sqrt(3.0 / (1.0 + a))
+    return a / (1.0 + a) * (np.arctan(t) / t)
 
 
 def _radius_where(f0, a):
     """phi^-1(a / f0): the radius where f0 * phi(r) = a."""
     f0 = _positive_finite(f0, "f0")
-    if isinstance(f0, float) and isinstance(a, float):
-        return radial_profile_inverse(a / f0)
-    with np.errstate(over="ignore"):    # an infinite target is refused as such
-        return radial_profile_inverse(a / f0)
+    return radial_profile_inverse(_log(a) - _log(f0))
 
 
 def quadrupolar_radius(f0):

@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, MaterialError, NumericalError
-from .fields import Geometry, donor_field, hyperfine_field_instant, screening_fraction
+from .errors import MaterialError, NumericalError
+from .fields import (Geometry, donor_field, hyperfine_field_instant,
+                     log_screening_fraction)
 from .kinetics import KineticState, spectral_density
 from .materials import MaterialRecord
-from .numerics import (NEWTON_RESOLUTION, all_true, any_true, as_operand,
-                       expand_bracket, solve)
+from .numerics import MAX_STEPS, all_true, as_operand
 from .spin_algebra import angular_factor, transition_moment
 
 
@@ -89,99 +89,107 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
                       omega_1=omega_1, omega_2=omega_2, omega_h=omega_h, f=f)
 
 
-def radial_profile(r):
-    """Radial factor e^{-4(r-1)} r^4 / s(r)^2 of the rate ratio (r in a0* units).
+def log_radial_profile(r):
+    """log phi(r) = 4 - 4r + 4 log r - 2 log s(r), finite for every positive float r.
 
-    Diverges at the donor (the modulated field vanishes faster than the
-    hyperfine one) and decreases monotonically outward.  Takes a float or
-    an array.
+    phi(r) = e^{-4(r-1)} r^4 / s(r)^2 is the radial factor of the rate
+    ratio (r in a0* units): it diverges at the donor (the modulated field
+    vanishes faster than the hyperfine one) and decreases monotonically
+    outward.  Takes a float or an array.
     """
     if not isinstance(r, float):
         r = as_operand(r)
-    if any_true(r <= 0.0):
-        raise MaterialError("radius must be positive")
-    s = screening_fraction(r)
-    exp = math.exp if isinstance(r, float) else np.exp
-    return exp(-4.0 * (r - 1.0)) * r ** 4 / (s * s)
+    log_s = log_screening_fraction(r)     # raises unless r > 0
+    log = math.log if isinstance(r, float) else np.log
+    return 4.0 - 4.0 * r + 4.0 * log(r) - 2.0 * log_s
+
+
+def radial_profile(r):
+    """Radial factor phi(r) = exp(:func:`log_radial_profile`); float or array."""
+    log_phi = log_radial_profile(r)
+    return math.exp(log_phi) if isinstance(log_phi, float) else np.exp(log_phi)
+
+
+_LOG_2 = math.log(2.0)
+#: near the donor phi(r) -> (9/16) e^4 / r^2 from above; phi^-1 starts
+#: from that asymptote, capped at r = 8 a0*
+_LOG_SMALL_R_SCALE = math.log(9.0 / 16.0) + 4.0
+_LOG_R_START_MAX = math.log(8.0)
+#: largest Newton step of phi^-1, in log r
+_MAX_LOG_STEP = 2.0
+#: relative size (of u, or of 1 near u = 0) of a step or a bracket that
+#: ends phi^-1: a few ulps
+_RESOLUTION = 8.0 * np.finfo(float).eps
 
 
 def _log_profile_on_log_r(u):
     """log phi and its slope d log phi / d log r at r = e^u (float or array).
 
-    log phi = 4 - 4r + 4 log r - 2 log s(r); r s'(r) = x^3 e^-x / 2, x = 2r.
+    The slope is 4 - 4r - x^3 e^-x / s(r) with x = 2r, taken as one exp of
+    logs so that it stays finite where s underflows.
     """
-    exp, log = (math.exp, math.log) if isinstance(u, float) else (np.exp, np.log)
+    exp = math.exp if isinstance(u, float) else np.exp
     r = exp(u)
-    x = 2.0 * r
-    s = screening_fraction(r)
-    return 4.0 - 4.0 * r + 4.0 * u - 2.0 * log(s), 4.0 - 4.0 * r - x * x * x * exp(-x) / s
+    log_s = log_screening_fraction(r)
+    return (4.0 - 4.0 * r + 4.0 * u - 2.0 * log_s,
+            4.0 - 4.0 * r - exp(3.0 * (u + _LOG_2) - 2.0 * r - log_s))
 
 
-#: phi^-1 starts its search on [1e-3, 8] a0* and widens that as needed
-_LOG_R_BRACKET = (math.log(1e-3), math.log(8.0))
-#: near the donor phi(r) -> (9/16) e^4 / r^2 from above, the first
-#: scalar guess (capped at the top of the starting bracket)
-_SMALL_R_SCALE = 9.0 / 16.0 * math.exp(4.0)
-#: largest target: its root lies near 5e-95 a0*, where s(r) ~ r^3 is still
-#: a normal float; smaller targets have no lower limit (log phi is
-#: evaluated in log form)
-_TARGET_MAX = 1e190
+def radial_profile_inverse(log_target):
+    """Radius where log phi(r) equals log_target, for a float or an array.
 
-
-def radial_profile_inverse(target):
-    """Radius where phi(r) equals target, for a float or an array of targets.
-
-    phi is strictly decreasing from +inf at the donor to 0 far away, so
-    each positive finite target has one root.  It is found on u = log r,
-    where log phi is smooth, by Newton steps safeguarded by bisection, to
-    a relative error of a few 1e-16 in r.  A float target iterates on
-    floats; an array goes through :func:`donor_halo.numerics.solve` in
-    lockstep, after its bracket has grown to hold every root.
+    phi decreases strictly from +inf at the donor to 0 far away, so each
+    finite log target has one root; it is found for log targets between
+    about -1e170 and 1490 (the radii pass -710 to 746).  The search runs
+    on u = log r, where log phi is smooth.  It starts from the near-donor
+    asymptote (capped at r = 8), takes Newton steps clipped to +-2,
+    learns a bracket from the signs of log phi - log_target, and bisects
+    only where a step leaves a bracket whose two ends are both known.  It
+    stops when the step or the bracket is a few ulps of u, so r is found
+    to a few 1e-16 relative.  An array runs the same iteration in
+    lockstep; each element freezes once it has converged.
     """
-    target = as_operand(target)
-    inside = (0.0 < target) & (target <= _TARGET_MAX)
-    if not all_true(inside):
-        bad = target if isinstance(target, float) else target[~inside][0]
-        raise BracketError(f"no radius where phi = {bad}: phi^-1 needs a target "
-                           f"in (0, {_TARGET_MAX:g}]")
-    if isinstance(target, float):
-        return _inverse_float(target)
-    log_t = np.log(target)
-
-    def rising(u):   # log_t - log phi, increasing in u = log r
-        log_phi, slope = _log_profile_on_log_r(u)
-        return log_t - log_phi, -slope
-
-    # a widened bracket end can sit where s(r) underflows; log phi is +inf
-    # there, which still has the right sign
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo, hi = expand_bracket(lambda u: rising(u)[0],
-                                np.full(log_t.shape, _LOG_R_BRACKET[0]),
-                                np.full(log_t.shape, _LOG_R_BRACKET[1]), what="phi^-1")
-        return np.exp(solve(rising, lo, hi, what="phi^-1", newton=True))
-
-
-def _inverse_float(target: float) -> float:
-    log_t = math.log(target)
-    lo, hi = -math.inf, math.inf        # u-bracket learned from the signs
-    u = min(0.5 * math.log(_SMALL_R_SCALE / target), _LOG_R_BRACKET[1])
-    for _ in range(100):
+    log_t = as_operand(log_target)
+    if not all_true(abs(log_t) < math.inf):
+        raise MaterialError("phi^-1 needs a finite log target")
+    if isinstance(log_t, float):
+        lo, hi = -math.inf, math.inf
+        u = min(0.5 * (_LOG_SMALL_R_SCALE - log_t), _LOG_R_START_MAX)
+        for _ in range(MAX_STEPS):
+            log_phi, slope = _log_profile_on_log_r(u)
+            g = log_phi - log_t
+            if g > 0.0:
+                lo = u
+            else:
+                hi = u
+            step = max(-_MAX_LOG_STEP, min(_MAX_LOG_STEP, g / slope))
+            resolution = _RESOLUTION * max(1.0, abs(u))
+            if abs(step) <= resolution or hi - lo <= resolution:
+                return math.exp(u - step)
+            u -= step
+            if not lo < u < hi:
+                u = 0.5 * (lo + hi)
+        raise NumericalError(f"phi^-1 did not converge for log target {log_t}")
+    lo, hi = np.full(log_t.shape, -np.inf), np.full(log_t.shape, np.inf)
+    u = np.minimum(0.5 * (_LOG_SMALL_R_SCALE - log_t), _LOG_R_START_MAX)
+    active = np.ones(log_t.shape, dtype=bool)
+    for _ in range(MAX_STEPS):
         log_phi, slope = _log_profile_on_log_r(u)
         g = log_phi - log_t
-        if g != g:
-            raise BracketError(f"phi^-1 undefined at r = {math.exp(u)} for target {target}")
-        if g > 0.0:
-            lo = u
-        else:
-            hi = u
-        step = max(-2.0, min(2.0, g / slope))
-        resolution = NEWTON_RESOLUTION * max(1.0, abs(u))
-        if abs(step) <= resolution or hi - lo <= resolution:
-            return math.exp(u - step)
+        above = g > 0.0
+        np.copyto(lo, u, where=above)
+        np.copyto(hi, u, where=~above)
+        step = np.clip(g / slope, -_MAX_LOG_STEP, _MAX_LOG_STEP)
+        step[~active] = 0.0
+        resolution = _RESOLUTION * np.maximum(1.0, np.abs(u))
+        active &= (np.abs(step) > resolution) & (hi - lo > resolution)
         u -= step
-        if not lo < u < hi:          # Newton left a bracket with both ends known
-            u = 0.5 * (lo + hi)
-    raise NumericalError(f"phi^-1 did not converge for target {target}")
+        if not active.any():
+            return np.exp(u)
+        stray = active & ~((lo < u) & (u < hi))
+        u[stray] = 0.5 * (lo[stray] + hi[stray])
+    bad = log_t[active][0]
+    raise NumericalError(f"phi^-1 did not converge for log target {bad}")
 
 
 def intrinsic_ratio(mat: MaterialRecord) -> float:

@@ -212,25 +212,37 @@ def _perturbative_terms(m: float, b_field: float, r: float, geometry: Geometry,
     return f0q, zeeman_quantum, h_q
 
 
+def second_order_shift(m: float, spin: float, theta: float, f0q: float,
+                       zeeman_quantum: float) -> float:
+    """Second-order quadrupolar shift (J) of Zeeman level m, with no guards.
+
+    (2 m f0q^2 / gamma hbar B) [sin^2 theta (4 I(I+1) - 8 m^2 - 1)
+    - cos^2 theta (2 I(I+1) - 2 m^2 - 1)], for the static quadrupolar
+    scale f0q and the Zeeman quantum gamma hbar B, both in J.
+    """
+    x = spin * (spin + 1.0)
+    st2 = math.sin(theta) ** 2
+    ct2 = math.cos(theta) ** 2
+    return (2.0 * m * f0q ** 2 / zeeman_quantum) * (
+        st2 * (4.0 * x - 8.0 * m * m - 1.0) - ct2 * (2.0 * x - 2.0 * m * m - 1.0)
+    )
+
+
 def level_shift(m: float, b_field: float, r: float, geometry: Geometry,
                 occupancy: float, mat: MaterialRecord) -> float:
     """Second-order quadrupolar shift (J) of Zeeman level m at field b_field.
 
-    The closed-form perturbative expression.  The Zeeman term is
-    -gamma hbar B Iz (positive gamma means level m = I lies lowest), which
-    fixes the sign of the shifts.  ``oracles.level_shift_diagonalization``
-    diagonalizes the full Zeeman + quadrupolar matrix instead.
+    :func:`second_order_shift` at the donor's f0q, behind the guards of
+    perturbation theory.  The Zeeman term is -gamma hbar B Iz (positive
+    gamma means level m = I lies lowest), which fixes the sign of the
+    shifts.  ``oracles.level_shift_diagonalization`` diagonalizes the
+    full Zeeman + quadrupolar matrix instead.
 
     Raises NonPerturbativeRegimeError when b_field is too small for
     perturbation theory to hold.
     """
     f0q, zeeman_quantum, _ = _perturbative_terms(m, b_field, r, geometry, occupancy, mat)
-    x = mat.spin * (mat.spin + 1.0)
-    st2 = math.sin(geometry.theta) ** 2
-    ct2 = math.cos(geometry.theta) ** 2
-    return (2.0 * m * f0q ** 2 / zeeman_quantum) * (
-        st2 * (4.0 * x - 8.0 * m * m - 1.0) - ct2 * (2.0 * x - 2.0 * m * m - 1.0)
-    )
+    return second_order_shift(m, mat.spin, geometry.theta, f0q, zeeman_quantum)
 
 
 def redfield_rate_analytic(spin: float, theta: float, j1: float, j2: float) -> float:

@@ -17,7 +17,7 @@ from .errors import MaterialError, NumericalError
 from .fields import Geometry, coulomb_field
 from .kinetics import GAMMA_MIN_DIFFUSION, KineticState
 from .materials import HBAR, MaterialRecord
-from .spin_algebra import bq_local_field
+from .spin_algebra import bq_local_field, second_order_shift
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,13 @@ def _worst_case_shift(r_m: float, b_field: float, mat: MaterialRecord) -> float:
     """Second-order level shift (J) in the configuration that maximizes it.
 
     Electric field along the quantization axis, ionized donor
-    (occupancy -> 0), top level m = I.  The shift is then
-    -2 I (2I - 1) hbar gamma [b_q E(r)]^2 / B with the bare Coulomb field.
+    (occupancy -> 0), top level m = I: :func:`second_order_shift` at
+    theta = 0 with f0q = hbar gamma b_q E(r) from the bare Coulomb field,
+    which is -2 I (2I - 1) hbar gamma [b_q E(r)]^2 / B.
     """
-    spin = mat.spin
-    scaled_field = mat.b_q * coulomb_field(1.0, mat) \
-        * mat.bohr_radius ** 2 / (r_m * r_m)
-    return -2.0 * spin * (2.0 * spin - 1.0) * HBAR * mat.gamma \
-        * scaled_field ** 2 / b_field
+    e_field = coulomb_field(1.0, mat) * mat.bohr_radius ** 2 / (r_m * r_m)
+    f0q = HBAR * mat.gamma * mat.b_q * e_field
+    return second_order_shift(mat.spin, mat.spin, 0.0, f0q, mat.gamma * HBAR * b_field)
 
 
 @dataclass(frozen=True)

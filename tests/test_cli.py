@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -148,8 +149,8 @@ def test_usage_errors(capsys):
 
 
 def test_numeric_error_exit_code(capsys):
-    # A_STAR / f0 overflows, so no radius has that phi in floats
-    assert run_cli("profile", "--f0", "1e-310")[0] == 3
+    # A_STAR / f0 overflows; its log does not, so the radius has an answer
+    assert run_cli("profile", "--f0", "1e-310")[0] == 0
 
 
 def test_verify_single_suite(capsys):
@@ -350,7 +351,6 @@ def test_validity_out_of_float_range_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["profile", "--r-min", "1e-300"],      # s(r) underflows to 0 in phi(r)
     ["validity", "--field", "1e308"],      # w1*tau overflows
     ["validity", "--field", "1e300"],      # wH*tau overflows while w1*tau stays finite
 ])
@@ -362,6 +362,21 @@ def test_non_finite_results_exit_3_and_write_nothing(argv, tmp_path, capsys):
     assert err.endswith(" is not finite; nothing was written\n")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--r-min", "1e-300"],      # s(r) underflows to 0 there
+    ["profile", "--r-max", "1e308"],       # e^{-4(r-1)} r^4 is 0 * inf there
+    ["radius", "--f0-min", "1e-200"],      # rho_q ~ 4e-100, where s(r) underflows
+    ["profile", "--f0", "1e-200"],
+])
+def test_phi_in_log_form_answers_every_float(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err(*argv, "--out", str(out), capsys=capsys)
+    assert code == 0 and err == ""
+    header, _, data = read_csv(out)
+    assert data.size and np.all(np.isfinite(data)) and np.all(data >= 0.0)
+    assert not re.search(r"\b(nan|inf)\b", "\n".join(header), re.IGNORECASE)
 
 
 def test_profile_where_f0_phi_overflows_is_fully_polarized(tmp_path, capsys):

@@ -11,7 +11,8 @@ import math
 import re
 import warnings
 
-from hypothesis import example, given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from donor_halo import cli, list_materials
@@ -75,3 +76,36 @@ def test_cli_exit_code_contract(argv):
     else:
         assert out == "" and err.startswith("donor-halo: "), (argv, err)
         assert len(err.splitlines()) == 1, (argv, err)
+
+
+LARGEST = 1.7976931348623157e308
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1e-300, 1e308, LARGEST]),
+                     st.floats(min_value=5e-324, max_value=LARGEST),
+                     st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def float_ranges(draw):
+    lo, hi = sorted((draw(POSITIVE), draw(POSITIVE)))
+    assume(lo < hi)
+    return lo, hi
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(float_ranges(), float_ranges(), POSITIVE, st.integers(1, 40))
+@example((5e-324, LARGEST), (5e-324, LARGEST), 5e-324, 40)
+@example((5e-324, LARGEST), (5e-324, LARGEST), LARGEST, 40)
+def test_profile_and_radius_answer_every_float_range(r_range, f0_range, f0, points):
+    # phi is evaluated in log form, so the default record has a finite
+    # answer for every strictly increasing grid of positive floats
+    with np.errstate(over="ignore"):     # as in the CLI, which builds the same grid
+        grid = np.linspace(*r_range, points)
+    assume(points == 1 or np.all(np.diff(grid) > 0.0))
+    for argv in (["profile", f"--r-min={r_range[0]!r}", f"--r-max={r_range[1]!r}",
+                  f"--f0={f0!r}", f"--points={points}"],
+                 ["radius", f"--f0-min={f0_range[0]!r}", f"--f0-max={f0_range[1]!r}",
+                  f"--points={points}"]):
+        code, out, err, caught = run(argv)
+        assert code == cli.EXIT_OK and err == "", (argv, err)
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert not NON_FINITE_TOKEN.search(out), argv

@@ -1,13 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
 from donor_halo import (MaterialError, MissingParameterError, compute_bq,
-                        get_material, list_materials, load_registry, scale_r14,
-                        thermal_velocity)
-from donor_halo.materials import (E_CHARGE, EPSILON_0, HBAR, K_BOLTZMANN,
-                                  M_ELECTRON, dump_record, parse_registry)
+                        get_material, list_materials, load_registry)
+from donor_halo.materials import (E_CHARGE, EPSILON_0, HBAR, dump_record,
+                                  parse_registry)
 
 
 def test_registry_lists_eight_records():
@@ -39,17 +37,6 @@ def test_compute_bq_monotone_in_spin():
     values = [compute_bq(3.2e12, 3.14e-29, spin, 4.6e7)
               for spin in (1.0, 1.5, 2.5, 3.5, 4.5)]
     assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_scale_r14():
-    assert scale_r14(1.7e12, 3.2e12, 1.7e12) == pytest.approx(3.2e12)
-    assert scale_r14(2.4e12, 5.0e12, 5.0e12) == pytest.approx(2.4e12)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b, c = rng.uniform(0.1, 10.0, size=3) * 1e12
-        assert scale_r14(a, b, c) == pytest.approx(a * b / c, rel=1e-14)
-    with pytest.raises(MaterialError):
-        scale_r14(1.0, 1.0, 0.0)
 
 
 def test_parse_rejects_unknown_key(gaas):
@@ -125,13 +112,6 @@ def test_unknown_material_lists_known():
         get_material("GaAs:As76")
 
 
-def test_thermal_velocity():
-    expected = math.sqrt(3.0 * K_BOLTZMANN * 77.0 / (0.067 * M_ELECTRON))
-    assert thermal_velocity(77.0, 0.067) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(MaterialError):
-        thermal_velocity(-1.0, 0.067)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("key", ["velocity", "donor_density", "hyperfine_field_bohr"])
 def test_record_rejects_non_finite(gaas, key, value):
@@ -150,5 +130,3 @@ def test_codata_literals_match_scipy():
     assert E_CHARGE == constants.elementary_charge
     assert HBAR == constants.hbar
     assert EPSILON_0 == constants.epsilon_0
-    assert K_BOLTZMANN == constants.k
-    assert M_ELECTRON == constants.m_e

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from donor_halo import (BracketError, MaterialError, calibrate_diffusion, diffusion_radius,
+from donor_halo import (MaterialError, calibrate_diffusion, diffusion_radius,
                         half_polarization_radius, nuclear_field, p_avg, p_point,
                         power_sweep, profile, quadrupolar_radius, radius_sweep,
                         screening_fraction, state_for_occupancy)
@@ -76,20 +76,33 @@ def test_quadrupolar_radius_monotone():
 
 
 def test_quadrupolar_radius_grows_its_bracket():
-    # the root lies outside the starting bracket [1e-3, 8] at both ends;
-    # it used to raise BracketError there
+    # roots far outside [1e-3, 8] a0*, on both sides
     far = quadrupolar_radius(1e10)
     assert far == pytest.approx(8.7805, abs=1e-4)
     near = quadrupolar_radius(1e-12)
     assert near < 1e-3
-    for rho, f0 in ((far, 1e10), (near, 1e-12)):
+    # here the root sits where s(r) ~ r^3 is far below the float range
+    tiny = quadrupolar_radius(1e-200)
+    assert tiny == pytest.approx(4.1175e-100, rel=1e-4)
+    for rho, f0 in ((far, 1e10), (near, 1e-12), (tiny, 1e-200)):
         assert p_avg(rho * (1 - 1e-9), f0) > 0.5 > p_avg(rho * (1 + 1e-9), f0)
-    table = radius_sweep(np.array([1e-12, 1e-2, 1e10]))
-    assert table[:, 1] == pytest.approx([near, quadrupolar_radius(1e-2), far], rel=1e-12)
-    # below f0 ~ 1.8e-190 the root would sit where s(r) ~ r^3 underflows
-    for f0 in (1e-200, np.array([1e-2, 1e-200])):
-        with pytest.raises(BracketError, match="phi\\^-1 needs a target"):
-            quadrupolar_radius(f0)
+    table = radius_sweep(np.array([1e-12, 1e-2, 1e10, 1e-200]))
+    assert table[:, 1] == pytest.approx([near, quadrupolar_radius(1e-2), far, tiny],
+                                        rel=1e-12)
+
+
+def test_polarization_never_exceeds_one():
+    # a / sqrt(3 (1+a)) * atan(sqrt(3 / (1+a))) rounded to 1 + 2 ulps here
+    assert p_avg(0.3, 1e200) <= 1.0
+    r = np.geomspace(1e-6, 1.0, 20001)
+    for f0 in (1e5, 1e100, 1e200, 1e308):
+        assert np.all(p_avg(r, f0) <= 1.0)
+        assert np.all(p_point(r, 0.0, f0) <= 1.0)
+        assert np.all(p_point(r, math.pi / 2.0, f0) <= 1.0)
+        for ri in r[::500]:
+            ri = float(ri)
+            assert p_avg(ri, f0) <= 1.0
+            assert p_point(ri, 0.0, f0) <= 1.0 and p_point(ri, 1.0, f0) <= 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
