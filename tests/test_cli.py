@@ -351,6 +351,7 @@ def test_validity_out_of_float_range_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["profile", "--set", "hyperfine_field_bohr=1e308"],  # calibrated D overflows
     ["validity", "--field", "1e308"],      # w1*tau overflows
     ["validity", "--field", "1e300"],      # wH*tau overflows while w1*tau stays finite
 ])
