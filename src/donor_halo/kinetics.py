@@ -197,12 +197,51 @@ def _first_sample_index(edges: np.ndarray, dt: float) -> np.ndarray:
     for non-negative edges below the end of the grid, without building the
     grid.  The quotient edge / dt is off by far less than one sample, so
     one step either way, tested against the rounded grid times, makes it
-    exact.
+    exact.  Every step reuses one float temporary.
     """
-    idx = np.ceil(edges / dt - 0.5).astype(np.int64)
-    idx -= (idx - 0.5) * dt >= edges
-    idx += (idx + 0.5) * dt < edges
+    t = np.divide(edges, dt)
+    t -= 0.5
+    idx = np.ceil(t, out=t).astype(np.int64)
+    np.subtract(idx, 0.5, out=t)
+    t *= dt
+    idx -= t >= edges
+    np.add(idx, 0.5, out=t)
+    t *= dt
+    idx += t < edges
     return idx
+
+
+def _pack_dwells(starts: np.ndarray, n_samples: int, first_occupied: bool) -> np.ndarray:
+    """Occupied samples packed 64 to a word, built from the dwell starts.
+
+    Dwell j covers samples starts[j] up to starts[j + 1] (the last one up
+    to n_samples); starts[0] is 0, the starts never decrease and none
+    exceeds n_samples.  The dwells alternate between the two states,
+    beginning occupied if first_occupied.  Sample i is bit i & 63 of word
+    i >> 6.  Each later start at bit b flips bits b..63 of its word, the
+    mask -(1 << b); the masks of one word are XORed together, so the two
+    of a zero-sample dwell cancel.  Bit 63 of a word is then the parity of
+    its flips, and the state entering a word is the first state XOR the
+    parities of the words before it.  The bits at and past n_samples are
+    clear, and two zero words follow the last sample, so that a read
+    shifted by up to 64 bits may take the word after any word in use.
+    """
+    flips = starts[1:] & 63
+    np.left_shift(1, flips, out=flips)
+    np.negative(flips, out=flips)       # -(1 << 63) wraps to 1 << 63
+    words = np.zeros(n_samples // 64 + 2, dtype="<u8")
+    # index of the first flip at or past each word, and the words holding any
+    first_flip = np.searchsorted(starts[1:], np.arange(words.size, dtype=np.int64) << 6)
+    used = np.flatnonzero(np.diff(first_flip, append=flips.size))
+    words[used] = np.bitwise_xor.reduceat(flips.view(np.uint64), first_flip[used])
+    top = words >> np.uint64(63)
+    carry = np.bitwise_xor.accumulate(top) ^ top
+    carry ^= np.uint64(first_occupied)
+    words ^= np.negative(carry, out=carry)
+    last = n_samples >> 6
+    words[last] &= (np.uint64(1) << np.uint64(n_samples & 63)) - np.uint64(1)
+    words[last + 1:] = 0
+    return words
 
 
 def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
@@ -219,17 +258,27 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
 
     The modulation takes only the values h_empty and h_occupied, so the
     estimator counts samples instead of multiplying them: each dwell is
-    mapped to its run of grid samples, and for every lag k the sum of
-    h_i h_(i+k) over a block of L samples is
+    reduced to the index of its first grid sample, and for every lag k
+    the sum of h_i h_(i+k) over a block of L samples is
     n_ee h_empty^2 + n_eo h_empty h_occupied + n_oo h_occupied^2.  The
     occupied counts of a block and of its k-shifted copy come from the
-    dwell runs.  The occupied-occupied pairs n_oo come from the occupied
-    samples packed 64 to a word: the words are ANDed with the same bits
-    read k places on (word offset k >> 6, bit shift k & 63), and the set
-    bits are counted per block as the popcounts of the whole words
-    between two block bounds, corrected by the bits below each bound in
-    its own word.  Every count is an exact integer.  Blocks are laid out
-    per lag as (n_samples - k) // n_blocks consecutive samples.
+    dwell starts and one cumulative sum of the occupied dwell lengths.
+    The occupied-occupied pairs n_oo come from the occupied samples
+    packed 64 to a word, which :func:`_pack_dwells` builds straight from
+    the starts: the words are ANDed with the same bits read k places on
+    (word offset k >> 6, bit shift k & 63), and the set bits are counted
+    per block as the popcounts of the whole words between two block
+    bounds, corrected by the bits below each bound in its own word.
+    Every count is an exact integer.  Blocks are laid out per lag as
+    (n_samples - k) // n_blocks consecutive samples.
+
+    No array holds one entry per sample.  Past the packed words (one bit
+    per sample), the set-up holds at most the dwell edges, one float and
+    one int64 temporary and a mask: about 25 bytes per dwell at its peak.
+
+    Raises MaterialError when the samples cannot fill the blocks, or when
+    the acf within the fit window is not positive (too few samples per
+    correlation time), so the decay fit would take the log of it.
     """
     if n_dwell < MIN_DWELL:
         raise MaterialError(f"need at least {MIN_DWELL} dwell events")
@@ -247,14 +296,14 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     first_occupied = bool(rng.random() < occ)
     # the state sequence alternates, so dwell means alternate too;
     # exponential(scale) draws scale * standard_exponential()
-    durations = rng.standard_exponential(n_dwell)
+    edges = rng.standard_exponential(n_dwell)
     if first_occupied:
-        durations[0::2] *= tau_occupied
-        durations[1::2] *= tau_empty
+        edges[0::2] *= tau_occupied
+        edges[1::2] *= tau_empty
     else:
-        durations[0::2] *= tau_empty
-        durations[1::2] *= tau_occupied
-    edges = np.cumsum(durations)
+        edges[0::2] *= tau_empty
+        edges[1::2] *= tau_occupied
+    np.cumsum(edges, out=edges)
     total = float(edges[-1])
     h_empty, h_occ = telegraph_values(occ, screening)
 
@@ -265,27 +314,25 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
             f"{n_samples} samples cannot fill {n_blocks} blocks at {n_lags} "
             f"lags; raise n_dwell or samples_per_dwell")
     # sample i, at time (i + 0.5) dt, lies in dwell j when
-    # edges[j-1] <= (i + 0.5) dt < edges[j]
-    starts = np.zeros(n_dwell, dtype=np.int64)
-    starts[1:] = np.minimum(_first_sample_index(edges[:-1], dt), n_samples)
-    counts = np.diff(starts, append=n_samples)
-    dwell_occupied = np.zeros(n_dwell, dtype=bool)
-    dwell_occupied[0 if first_occupied else 1::2] = True
-    occupied_counts = np.where(dwell_occupied, counts, 0)
-    occupied_before = np.cumsum(occupied_counts) - occupied_counts
-
-    # sample i is bit i & 63 of words[i >> 6]; the zero words past the last
-    # sample let a shifted read take words[j + 1] for every word j in use
-    packed = np.packbits(np.repeat(dwell_occupied, counts), bitorder="little")
-    words = np.zeros(n_samples // 64 + 2, dtype="<u8")
-    words.view(np.uint8)[:packed.size] = packed
+    # edges[j-1] <= (i + 0.5) dt < edges[j]; dwell j starts at starts[j]
+    later = _first_sample_index(edges[:-1], dt)
+    del edges
+    starts = np.concatenate(([0], np.minimum(later, n_samples, out=later)))
+    del later
+    # dwell j is occupied when j & 1 == parity; occupied_before[m] counts
+    # the samples of the first m occupied dwells
+    parity = 0 if first_occupied else 1
+    occupied_before = np.concatenate(
+        ([0], np.cumsum(np.diff(starts, append=n_samples)[parity::2])))
+    words = _pack_dwells(starts, n_samples, first_occupied)
     pairs = np.empty_like(words)
 
     def occupied_per_block(first: int, length: int) -> np.ndarray:
         """Occupied samples in n_blocks consecutive blocks from sample `first`."""
         bounds = first + length * np.arange(n_blocks + 1)
         j = np.searchsorted(starts, bounds, side="right") - 1
-        return np.diff(occupied_before[j] + dwell_occupied[j] * (bounds - starts[j]))
+        inside = ((j & 1) == parity) * (bounds - starts[j])
+        return np.diff(occupied_before[(j + 1 - parity) >> 1] + inside)
 
     def occupied_pairs_per_block(k: int, length: int) -> np.ndarray:
         """Samples i with i and i + k occupied, in n_blocks blocks from sample 0."""
@@ -334,7 +381,13 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     below = np.nonzero(acf <= threshold)[0]
     k_max = int(below[0]) if below.size else n_lags
     k_max = max(k_max, 4)
-    slope = np.polyfit(lags[:k_max] * dt, np.log(acf[:k_max]), 1)[0]
+    fit = acf[:k_max]
+    if not np.all(fit > 0.0):
+        k = int(np.argmin(fit > 0.0))
+        raise MaterialError(
+            f"acf at lag {k} is {acf[k]:.3g}, not positive, so the decay fit has no "
+            f"log; raise n_dwell or samples_per_dwell")
+    slope = np.polyfit(lags[:k_max] * dt, np.log(fit), 1)[0]
     return TelegraphEstimate(
         lag_times=lags * dt, acf=acf, acf_se=acf_se,
         mean=mean, mean_se=mean_se,

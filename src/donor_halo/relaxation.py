@@ -13,6 +13,7 @@ consistency oracle for it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,10 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
                       omega_1=omega_1, omega_2=omega_2, omega_h=omega_h, f=f)
 
 
+#: largest x with a finite exp(x)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def log_radial_profile(r):
     """log phi(r) = 4 - 4r + 4 log r - 2 log s(r), finite for every positive float r.
 
@@ -105,9 +110,20 @@ def log_radial_profile(r):
 
 
 def radial_profile(r):
-    """Radial factor phi(r) = exp(:func:`log_radial_profile`); float or array."""
+    """Radial factor phi(r) = exp(:func:`log_radial_profile`); float or array.
+
+    phi passes the float range for r below about 4e-154 a0*; there a
+    float or an array raises NumericalError (log_radial_profile stays
+    finite).
+    """
     log_phi = log_radial_profile(r)
-    return math.exp(log_phi) if isinstance(log_phi, float) else np.exp(log_phi)
+    if isinstance(log_phi, float):
+        if log_phi <= _LOG_FLOAT_MAX:
+            return math.exp(log_phi)
+    elif all_true(log_phi <= _LOG_FLOAT_MAX):
+        return np.exp(log_phi)
+    raise NumericalError("phi(r) exceeds the float range for r below about 4e-154 a0*; "
+                         "use log_radial_profile")
 
 
 _LOG_2 = math.log(2.0)

@@ -17,6 +17,7 @@ All functions are pure and all returned arrays are marked read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,8 +54,13 @@ class SpinMatrices:
         return np.diag(self.iz).real
 
 
+@functools.lru_cache(maxsize=16)
 def build_spin_operators(spin: float) -> SpinMatrices:
-    """Exact angular-momentum matrices for a half-integer spin."""
+    """Exact angular-momentum matrices for a half-integer spin.
+
+    Built once per spin (for the last 16 spins asked for) and shared
+    between callers, which is safe because the matrices are read-only.
+    """
     dim = spin_multiplicity(spin)
     m = spin - np.arange(dim)
     iz = np.diag(m).astype(complex)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from donor_halo import (Geometry, MaterialError, competition, intrinsic_ratio,
-                        radial_profile, rates, state_for_occupancy)
+from donor_halo import (Geometry, MaterialError, NumericalError, competition,
+                        intrinsic_ratio, radial_profile, rates, state_for_occupancy)
 from donor_halo.kinetics import KineticState, occupancy
+from donor_halo.relaxation import log_radial_profile
 
 
 def test_quadrupolar_rate_off_at_full_and_empty(gaas):
@@ -129,6 +130,24 @@ def test_radial_profile_monotone():
     grid = np.linspace(1e-3, 8.0, 10_000)
     values = np.array([radial_profile(r) for r in grid])
     assert np.all(np.diff(values) < 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1e-200, 5e-324, np.array([1e-200, 0.3]),
+                               np.array([0.3, 5e-324])])
+def test_radial_profile_past_the_float_range_raises(r):
+    # phi passes the float range near r = 4.13e-154, where log phi stays finite
+    assert np.all(np.isfinite(log_radial_profile(r)))
+    with pytest.raises(NumericalError, match="float range"):
+        radial_profile(r)
+
+
+@pytest.mark.filterwarnings("error")
+def test_radial_profile_at_the_edge_of_the_float_range():
+    r = 4.14e-154
+    phi = radial_profile(r)
+    assert 1e308 < phi < math.inf
+    assert radial_profile(np.array([r, 0.3]))[0] == phi
 
 
 def test_rates_reject_bad_inputs(gaas):

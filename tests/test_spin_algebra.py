@@ -36,6 +36,15 @@ def test_ladder_eigenvalues(spin):
             assert value == pytest.approx(x - m * (m + sign), abs=1e-12)
 
 
+def test_spin_operators_are_built_once_and_stay_read_only():
+    ops = build_spin_operators(2.5)
+    assert build_spin_operators(2.5) is ops
+    for matrix in (ops.iz, ops.iplus, ops.iminus, ops.identity):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
+
+
 def test_spin_half_iz():
     ops = build_spin_operators(0.5)
     assert np.allclose(ops.iz, np.diag([0.5, -0.5]))

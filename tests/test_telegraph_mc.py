@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from donor_halo import MaterialError, TelegraphEstimate, simulate_telegraph
-from donor_halo.kinetics import _first_sample_index, telegraph_amplitude, telegraph_values
+from donor_halo.kinetics import (_first_sample_index, _pack_dwells, telegraph_amplitude,
+                                telegraph_values)
 
 SCREEN = 0.3233235838169365
 
@@ -225,6 +227,33 @@ def test_estimator_rejects_bad_options(options, match):
         simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=1000, seed=1, **options)
 
 
+def test_estimator_rejects_a_non_positive_acf_in_the_fit():
+    # 0.3 samples per dwell leave the lags nearly uncorrelated, and lag 1
+    # reads below zero, which the log-linear decay fit cannot take
+    with pytest.raises(MaterialError) as err:
+        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=300, seed=0,
+                           samples_per_dwell=0.3, n_lags=8)
+    message = str(err.value)
+    assert "\n" not in message
+    assert message.startswith("acf at lag 1 is -0.00232, not positive")
+
+
+def test_simulation_peak_memory_per_dwell():
+    # the set-up keeps one int64 start per dwell and the packed words; the
+    # per-dwell arrays it replaced took 55 to 59 bytes per dwell
+    n_dwell = 200_000
+    simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=n_dwell, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=n_dwell, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / n_dwell <= 40.0
+
+
 def test_estimator_rejects_too_few_samples():
     with pytest.raises(MaterialError, match="at least 4 dwell"):
         simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=3, seed=1)
@@ -260,3 +289,50 @@ def test_first_sample_index_at_grid_start():
     edges = np.array([0.0, 5e-324, np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0)])
     assert np.array_equal(_first_sample_index(edges, dt),
                           np.searchsorted(times, edges, side="left"))
+
+
+# --- packed words ------------------------------------------------------------
+
+def reference_words(starts, n_samples, first_occupied):
+    """The words of _pack_dwells from one byte per sample."""
+    occupied = np.zeros(starts.size, dtype=bool)
+    occupied[0 if first_occupied else 1::2] = True
+    counts = np.diff(starts, append=n_samples)
+    packed = np.packbits(np.repeat(occupied, counts), bitorder="little")
+    words = np.zeros(n_samples // 64 + 2, dtype="<u8")
+    words.view(np.uint8)[:packed.size] = packed
+    return words
+
+
+@pytest.mark.parametrize("first_occupied", [True, False])
+@pytest.mark.parametrize(
+    "starts, n_samples",
+    [
+        ([0, 5, 5, 9, 9, 9, 30], 40),       # zero-sample dwells
+        ([0, 0, 7, 63, 63, 64], 70),        # the first dwells hold no sample
+        ([0, 10, 40, 40, 40], 40),          # dwells clipped to n_samples
+        ([0, 3, 64, 100, 127], 128),        # n_samples % 64 == 0
+        ([0, 3, 64, 100, 128], 128),        # ... with a clipped last dwell
+        ([0, 10, 200, 250], 300),           # words 1 and 2 hold no start
+        ([0, 1, 2, 3, 4, 5, 6, 63], 64),    # one whole word
+        ([0, 70, 190], 192),
+    ],
+)
+def test_pack_dwells_matches_packbits(starts, n_samples, first_occupied):
+    starts = np.array(starts, dtype=np.int64)
+    words = _pack_dwells(starts, n_samples, first_occupied)
+    assert words.dtype == np.dtype("<u8")
+    assert np.array_equal(words, reference_words(starts, n_samples, first_occupied))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n_samples=st.integers(1, 700),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    first_occupied=st.booleans(),
+)
+def test_pack_dwells_matches_packbits_random(n_samples, fractions, first_occupied):
+    later = np.sort(np.round(np.array(fractions) * n_samples).astype(np.int64))
+    starts = np.concatenate(([0], later))
+    assert np.array_equal(_pack_dwells(starts, n_samples, first_occupied),
+                          reference_words(starts, n_samples, first_occupied))
