@@ -211,29 +211,44 @@ def _first_sample_index(edges: np.ndarray, dt: float) -> np.ndarray:
     return idx
 
 
-def _pack_dwells(starts: np.ndarray, n_samples: int, first_occupied: bool) -> np.ndarray:
-    """Occupied samples packed 64 to a word, built from the dwell starts.
+#: dwells drawn and packed per pass of :func:`simulate_telegraph`; even, so
+#: that every chunk starts on a dwell of the first state, and small enough
+#: that a pass over one chunk's buffers stays in cache
+_CHUNK = 1 << 14
 
-    Dwell j covers samples starts[j] up to starts[j + 1] (the last one up
-    to n_samples); starts[0] is 0, the starts never decrease and none
-    exceeds n_samples.  The dwells alternate between the two states,
-    beginning occupied if first_occupied.  Sample i is bit i & 63 of word
-    i >> 6.  Each later start at bit b flips bits b..63 of its word, the
-    mask -(1 << b); the masks of one word are XORed together, so the two
-    of a zero-sample dwell cancel.  Bit 63 of a word is then the parity of
-    its flips, and the state entering a word is the first state XOR the
-    parities of the words before it.  The bits at and past n_samples are
-    clear, and two zero words follow the last sample, so that a read
-    shifted by up to 64 bits may take the word after any word in use.
+
+def _xor_flips(words: np.ndarray, starts: np.ndarray) -> None:
+    """XOR into words the flips of the dwells that start at `starts`.
+
+    The starts are sample indices that never decrease; sample i is bit
+    i & 63 of word i >> 6, and words must reach word starts[-1] >> 6.  A
+    start at bit b flips bits b..63 of its word, the mask -(1 << b); the
+    masks of one word are XORed together, so the two of a zero-sample
+    dwell cancel.  Starts fed in several calls, split anywhere, give the
+    same words as one call.
     """
-    flips = starts[1:] & 63
+    word = starts >> 6
+    flips = starts & 63
     np.left_shift(1, flips, out=flips)
     np.negative(flips, out=flips)       # -(1 << 63) wraps to 1 << 63
-    words = np.zeros(n_samples // 64 + 2, dtype="<u8")
-    # index of the first flip at or past each word, and the words holding any
-    first_flip = np.searchsorted(starts[1:], np.arange(words.size, dtype=np.int64) << 6)
-    used = np.flatnonzero(np.diff(first_flip, append=flips.size))
-    words[used] = np.bitwise_xor.reduceat(flips.view(np.uint64), first_flip[used])
+    head = np.flatnonzero(np.diff(word, prepend=-1))
+    words[word[head]] ^= np.bitwise_xor.reduceat(flips.view(np.uint64), head)
+
+
+def _occupied_words(flipped: np.ndarray, n_samples: int, first_occupied: bool) -> np.ndarray:
+    """Occupied samples packed 64 to a word, from the flips of every later dwell.
+
+    flipped holds the flips :func:`_xor_flips` XORed in for every dwell
+    after the first, and reaches word n_samples // 64 + 1; the dwells
+    alternate between the two states, beginning occupied if
+    first_occupied.  Bit 63 of a word is then the parity of its flips, and
+    the state entering a word is the first state XOR the parities of the
+    words before it.  Returns the first n_samples // 64 + 2 words, changed
+    in place: the bits at and past n_samples are clear, and two zero words
+    follow the last sample, so that a read shifted by up to 64 bits may
+    take the word after any word in use.
+    """
+    words = flipped[:n_samples // 64 + 2]
     top = words >> np.uint64(63)
     carry = np.bitwise_xor.accumulate(top) ^ top
     carry ^= np.uint64(first_occupied)
@@ -242,6 +257,12 @@ def _pack_dwells(starts: np.ndarray, n_samples: int, first_occupied: bool) -> np
     words[last] &= (np.uint64(1) << np.uint64(n_samples & 63)) - np.uint64(1)
     words[last + 1:] = 0
     return words
+
+
+def _ones_below(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Set bits below each bit index in bounds, counted within its own word."""
+    low_bits = (np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1)
+    return np.bitwise_count(words[bounds >> 6] & low_bits).astype(np.int64)
 
 
 def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
@@ -257,24 +278,27 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     log-linear fit of the decay rate.
 
     The modulation takes only the values h_empty and h_occupied, so the
-    estimator counts samples instead of multiplying them: each dwell is
-    reduced to the index of its first grid sample, and for every lag k
+    estimator counts samples instead of multiplying them: for every lag k
     the sum of h_i h_(i+k) over a block of L samples is
     n_ee h_empty^2 + n_eo h_empty h_occupied + n_oo h_occupied^2.  The
-    occupied counts of a block and of its k-shifted copy come from the
-    dwell starts and one cumulative sum of the occupied dwell lengths.
-    The occupied-occupied pairs n_oo come from the occupied samples
-    packed 64 to a word, which :func:`_pack_dwells` builds straight from
-    the starts: the words are ANDed with the same bits read k places on
-    (word offset k >> 6, bit shift k & 63), and the set bits are counted
-    per block as the popcounts of the whole words between two block
-    bounds, corrected by the bits below each bound in its own word.
-    Every count is an exact integer.  Blocks are laid out per lag as
-    (n_samples - k) // n_blocks consecutive samples.
+    occupied samples are packed 64 to a word in one pass over chunks of
+    _CHUNK dwells: each chunk is drawn into one reused buffer, scaled,
+    summed on from the running total into its dwell edges, reduced to the
+    index of the first grid sample of each dwell it starts, and XORed into
+    the words by :func:`_xor_flips`; :func:`_occupied_words` then carries
+    the state across words.  The occupied samples before a sample are the
+    popcounts of the whole words before its word plus the bits below it
+    in its own word.  The occupied-occupied pairs n_oo come from the words
+    ANDed with the same bits read k places on (word offset k >> 6, bit
+    shift k & 63), counted per block in the same way.  Every count is an
+    exact integer.  Blocks are laid out per lag as (n_samples - k) //
+    n_blocks consecutive samples.
 
-    No array holds one entry per sample.  Past the packed words (one bit
-    per sample), the set-up holds at most the dwell edges, one float and
-    one int64 temporary and a mask: about 25 bytes per dwell at its peak.
+    No array holds one entry per dwell or per sample: past the chunk
+    buffers, the set-up holds the packed words (one bit per sample, in a
+    buffer that doubles as it grows, so up to two) and one int64 popcount
+    prefix per word: under 3 bytes per dwell at its peak for 1e6 dwells
+    at 5 samples per dwell.
 
     Raises MaterialError when the samples cannot fill the blocks, or when
     the acf within the fit window is not positive (too few samples per
@@ -296,43 +320,47 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     first_occupied = bool(rng.random() < occ)
     # the state sequence alternates, so dwell means alternate too;
     # exponential(scale) draws scale * standard_exponential()
-    edges = rng.standard_exponential(n_dwell)
-    if first_occupied:
-        edges[0::2] *= tau_occupied
-        edges[1::2] *= tau_empty
-    else:
-        edges[0::2] *= tau_empty
-        edges[1::2] *= tau_occupied
-    np.cumsum(edges, out=edges)
-    total = float(edges[-1])
+    even_mean, odd_mean = ((tau_occupied, tau_empty) if first_occupied
+                           else (tau_empty, tau_occupied))
+    dt = min(tau_occupied, tau_empty) / samples_per_dwell
+    buf = np.empty(min(n_dwell, _CHUNK))
+    flipped = np.zeros(0, dtype="<u8")
+    total = 0.0
+    for begin in range(0, n_dwell, _CHUNK):
+        edges = buf[:min(_CHUNK, n_dwell - begin)]
+        rng.standard_exponential(out=edges)
+        edges[0::2] *= even_mean
+        edges[1::2] *= odd_mean
+        edges[0] += total
+        np.cumsum(edges, out=edges)
+        total = float(edges[-1])
+        # sample i, at time (i + 0.5) dt, lies in the dwell after an edge
+        # when the edge is at or before it.  The last edge, which ends the
+        # run, starts no dwell: it falls at sample n_samples or the next,
+        # where no bit is kept.  No start passes int(total / dt) + 1.
+        starts = _first_sample_index(edges, dt)
+        size = int(total / dt) // 64 + 2
+        if size > flipped.size:
+            grown = np.zeros(max(size, 2 * flipped.size), dtype="<u8")
+            grown[:flipped.size] = flipped
+            flipped = grown
+        _xor_flips(flipped, starts)
     h_empty, h_occ = telegraph_values(occ, screening)
 
-    dt = min(tau_occupied, tau_empty) / samples_per_dwell
     n_samples = int(total / dt)
     if n_samples < n_blocks + n_lags - 1:
         raise MaterialError(
             f"{n_samples} samples cannot fill {n_blocks} blocks at {n_lags} "
             f"lags; raise n_dwell or samples_per_dwell")
-    # sample i, at time (i + 0.5) dt, lies in dwell j when
-    # edges[j-1] <= (i + 0.5) dt < edges[j]; dwell j starts at starts[j]
-    later = _first_sample_index(edges[:-1], dt)
-    del edges
-    starts = np.concatenate(([0], np.minimum(later, n_samples, out=later)))
-    del later
-    # dwell j is occupied when j & 1 == parity; occupied_before[m] counts
-    # the samples of the first m occupied dwells
-    parity = 0 if first_occupied else 1
-    occupied_before = np.concatenate(
-        ([0], np.cumsum(np.diff(starts, append=n_samples)[parity::2])))
-    words = _pack_dwells(starts, n_samples, first_occupied)
+    words = _occupied_words(flipped, n_samples, first_occupied)
     pairs = np.empty_like(words)
+    ones = np.bitwise_count(words)
+    ones_before = np.cumsum(ones, dtype=np.int64) - ones    # occupied before each word
 
     def occupied_per_block(first: int, length: int) -> np.ndarray:
         """Occupied samples in n_blocks consecutive blocks from sample `first`."""
         bounds = first + length * np.arange(n_blocks + 1)
-        j = np.searchsorted(starts, bounds, side="right") - 1
-        inside = ((j & 1) == parity) * (bounds - starts[j])
-        return np.diff(occupied_before[(j + 1 - parity) >> 1] + inside)
+        return np.diff(ones_before[bounds >> 6] + _ones_below(words, bounds))
 
     def occupied_pairs_per_block(k: int, length: int) -> np.ndarray:
         """Samples i with i and i + k occupied, in n_blocks blocks from sample 0."""
@@ -351,9 +379,7 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
         # gives a single word where the two are equal, which must count 0
         spans = np.add.reduceat(np.bitwise_count(both), word, dtype=np.int64)[:-1]
         spans[word[1:] == word[:-1]] = 0
-        low_bits = (np.uint64(1) << (bounds & 63).astype(np.uint64)) - np.uint64(1)
-        in_word = np.bitwise_count(both[word] & low_bits)
-        return spans + np.diff(in_word.astype(np.int64))
+        return spans + np.diff(_ones_below(both, bounds))
 
     block_len = n_samples // n_blocks
     n_occ = occupied_per_block(0, block_len)

@@ -131,6 +131,11 @@ _LOG_2 = math.log(2.0)
 #: from that asymptote, capped at r = 8 a0*
 _LOG_SMALL_R_SCALE = math.log(9.0 / 16.0) + 4.0
 _LOG_R_START_MAX = math.log(8.0)
+#: far out log phi(r) -> 4 - 4r + 4 log r; below this log target (r beyond
+#: about 250 a0*, past every radius, whose targets are -710 or more)
+#: phi^-1 starts from r = -log_target / 4, which the capped steps from
+#: r = 8 do not reach for targets below about -1e170
+_FAR_LOG_TARGET = -1e3
 #: largest Newton step of phi^-1, in log r
 _MAX_LOG_STEP = 2.0
 #: relative size (of u, or of 1 near u = 0) of a step or a bracket that
@@ -155,14 +160,16 @@ def radial_profile_inverse(log_target):
     """Radius where log phi(r) equals log_target, for a float or an array.
 
     phi decreases strictly from +inf at the donor to 0 far away, so each
-    finite log target has one root; it is found for log targets between
-    about -1e170 and 1490 (the radii pass -710 to 746).  The search runs
+    finite log target has one root; it is found for every finite log
+    target up to about 1490 (the radii pass -710 to 746).  The search runs
     on u = log r, where log phi is smooth.  It starts from the near-donor
-    asymptote (capped at r = 8), takes Newton steps clipped to +-2,
+    asymptote (capped at r = 8), or for log targets below -1000 from the
+    far-field root r = -log_target / 4, takes Newton steps clipped to +-2,
     learns a bracket from the signs of log phi - log_target, and bisects
     only where a step leaves a bracket whose two ends are both known.  It
     stops when the step or the bracket is a few ulps of u, so r is found
-    to a few 1e-16 relative.  An array runs the same iteration in
+    to a few 1e-16 relative for the radii, and far out to the rounding of
+    u itself (3e-14 at r = 1e299).  An array runs the same iteration in
     lockstep; each element freezes once it has converged.
     """
     log_t = as_operand(log_target)
@@ -170,7 +177,10 @@ def radial_profile_inverse(log_target):
         raise MaterialError("phi^-1 needs a finite log target")
     if isinstance(log_t, float):
         lo, hi = -math.inf, math.inf
-        u = min(0.5 * (_LOG_SMALL_R_SCALE - log_t), _LOG_R_START_MAX)
+        if log_t < _FAR_LOG_TARGET:
+            u = math.log(-0.25 * log_t)
+        else:
+            u = min(0.5 * (_LOG_SMALL_R_SCALE - log_t), _LOG_R_START_MAX)
         for _ in range(MAX_STEPS):
             log_phi, slope = _log_profile_on_log_r(u)
             g = log_phi - log_t
@@ -188,6 +198,8 @@ def radial_profile_inverse(log_target):
         raise NumericalError(f"phi^-1 did not converge for log target {log_t}")
     lo, hi = np.full(log_t.shape, -np.inf), np.full(log_t.shape, np.inf)
     u = np.minimum(0.5 * (_LOG_SMALL_R_SCALE - log_t), _LOG_R_START_MAX)
+    far = log_t < _FAR_LOG_TARGET
+    u[far] = np.log(-0.25 * log_t[far])
     active = np.ones(log_t.shape, dtype=bool)
     for _ in range(MAX_STEPS):
         log_phi, slope = _log_profile_on_log_r(u)

@@ -202,6 +202,27 @@ def test_verify_takes_a_seed(capsys):
     assert mc("1") == first and mc("2") != first
 
 
+#: the Monte Carlo lines of ``donor-halo verify`` at the shipped seed and
+#: 1e6 dwell events; a change to the estimator must leave every digit
+PINNED_TELEGRAPH_MC = """\
+PASS telegraph-mc/symmetric-dwell: decay rel err 0.0023 (tol 0.05), amplitude dev \
+0.00e+00, mean 2.15e-04 +- 2.03e-04, all lags within 3 sigma: True
+PASS telegraph-mc/asymmetric-dwell: decay rel err 0.0052, amplitude within 3 sigma: True
+-- suite telegraph-mc: 2/2 passed
+== total: 2/2 passed
+"""
+PINNED_MC_CONVERGENCE = ("PASS properties/mc-convergence: mean abs error ratio "
+                         "(16x dwells) = 0.202 (window [0.15, 0.6])")
+
+
+def test_verify_monte_carlo_output_is_pinned(capsys):
+    code, out = run_cli("verify", "--suite", "telegraph-mc", capsys=capsys)
+    assert (code, out) == (0, PINNED_TELEGRAPH_MC)
+    code, out = run_cli("verify", "--suite", "properties", capsys=capsys)
+    assert code == 0
+    assert PINNED_MC_CONVERGENCE in out.splitlines()
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "--suite", "bogus"])

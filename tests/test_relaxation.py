@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from donor_halo import (Geometry, MaterialError, NumericalError, competition,
                         intrinsic_ratio, radial_profile, rates, state_for_occupancy)
 from donor_halo.kinetics import KineticState, occupancy
-from donor_halo.relaxation import log_radial_profile
+from donor_halo.relaxation import log_radial_profile, radial_profile_inverse
 
 
 def test_quadrupolar_rate_off_at_full_and_empty(gaas):
@@ -148,6 +149,21 @@ def test_radial_profile_at_the_edge_of_the_float_range():
     phi = radial_profile(r)
     assert 1e308 < phi < math.inf
     assert radial_profile(np.array([r, 0.3]))[0] == phi
+
+
+FAR_LOG_TARGETS = [-1e3, -1e4, -1e170, -1e174, -1e300, -sys.float_info.max]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("log_target", FAR_LOG_TARGETS)
+def test_radial_profile_inverse_far_from_the_donor(log_target):
+    # far out the root is near r = -log_target / 4; below about -1e170 the
+    # steps from a start at r = 8 did not reach it.  r = e^u keeps the
+    # rounding of u = log r (up to ~710), so allow 1e-12 relative
+    r = radial_profile_inverse(log_target)
+    assert math.isfinite(r)
+    assert log_radial_profile(r) == pytest.approx(log_target, rel=1e-12)
+    assert radial_profile_inverse(np.array([log_target, -1.0]))[0] == r
 
 
 def test_rates_reject_bad_inputs(gaas):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from donor_halo import MaterialError, TelegraphEstimate, simulate_telegraph
-from donor_halo.kinetics import (_first_sample_index, _pack_dwells, telegraph_amplitude,
-                                telegraph_values)
+from donor_halo.kinetics import (_CHUNK, _first_sample_index, _occupied_words, _xor_flips,
+                                telegraph_amplitude, telegraph_values)
 
 SCREEN = 0.3233235838169365
 
@@ -200,6 +200,17 @@ def test_estimator_matches_reference_on_whole_words():
     assert_matches_reference(occ, SCREEN, 1.0, 1.5, 3000, seed, **options)
 
 
+@pytest.mark.parametrize("n_dwell", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("seed, first_occupied", [(2, True), (0, False)])
+def test_estimator_matches_reference_across_chunks(n_dwell, seed, first_occupied):
+    # the dwells are drawn and packed _CHUNK at a time: a last chunk of
+    # one dwell, a full last chunk, and the running total carried across
+    # one and two chunk edges
+    occ = 0.4
+    assert bool(np.random.default_rng(seed).random() < occ) is first_occupied
+    assert_matches_reference(occ, SCREEN, 1.0, 1.5, n_dwell, seed, n_lags=8)
+
+
 @pytest.mark.parametrize("n", [16_000, 256_000])
 @pytest.mark.parametrize("seed", [20260810, 1000])
 def test_amplitude_does_not_depend_on_lag_count(n, seed):
@@ -239,9 +250,10 @@ def test_estimator_rejects_a_non_positive_acf_in_the_fit():
 
 
 def test_simulation_peak_memory_per_dwell():
-    # the set-up keeps one int64 start per dwell and the packed words; the
-    # per-dwell arrays it replaced took 55 to 59 bytes per dwell
-    n_dwell = 200_000
+    # the set-up streams the dwells in chunks and keeps only the packed
+    # words and their popcount prefix; the one int64 start per dwell it
+    # replaced took 25 bytes per dwell at the peak
+    n_dwell = 1_000_000
     simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=n_dwell, seed=1)
     tracemalloc.start()
     try:
@@ -251,7 +263,7 @@ def test_simulation_peak_memory_per_dwell():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / n_dwell <= 40.0
+    assert peak / n_dwell <= 8.0
 
 
 def test_estimator_rejects_too_few_samples():
@@ -294,45 +306,86 @@ def test_first_sample_index_at_grid_start():
 # --- packed words ------------------------------------------------------------
 
 def reference_words(starts, n_samples, first_occupied):
-    """The words of _pack_dwells from one byte per sample."""
+    """Occupied samples packed 64 to a word, from one byte per sample.
+
+    Dwell j covers samples starts[j] up to starts[j + 1], clipped to
+    n_samples; starts[0] is 0.
+    """
     occupied = np.zeros(starts.size, dtype=bool)
     occupied[0 if first_occupied else 1::2] = True
-    counts = np.diff(starts, append=n_samples)
+    counts = np.diff(np.minimum(starts, n_samples), append=n_samples)
     packed = np.packbits(np.repeat(occupied, counts), bitorder="little")
     words = np.zeros(n_samples // 64 + 2, dtype="<u8")
     words.view(np.uint8)[:packed.size] = packed
     return words
 
 
+def pack_in_chunks(starts, n_samples, first_occupied, cuts):
+    """The words of simulate_telegraph, its later starts fed in chunks split at cuts."""
+    flipped = np.zeros(n_samples // 64 + 2, dtype="<u8")
+    for chunk in np.split(starts[1:], cuts):
+        _xor_flips(flipped, chunk)
+    return _occupied_words(flipped, n_samples, first_occupied)
+
+
+LAYOUTS = [
+    ([0, 5, 5, 9, 9, 9, 30], 40),       # zero-sample dwells
+    ([0, 0, 7, 63, 63, 64], 70),        # the first dwells hold no sample
+    ([0, 10, 40, 40, 40], 40),          # dwells clipped to n_samples
+    ([0, 3, 64, 100, 127], 128),        # n_samples % 64 == 0
+    ([0, 3, 64, 100, 128], 128),        # ... with a clipped last dwell
+    ([0, 10, 200, 250], 300),           # words 1 and 2 hold no start
+    ([0, 1, 2, 3, 4, 5, 6, 63], 64),    # one whole word
+    ([0, 70, 190], 192),
+    ([0, 10, 39, 41], 40),              # a start past n_samples, as the last edge gives
+]
+
+
 @pytest.mark.parametrize("first_occupied", [True, False])
-@pytest.mark.parametrize(
-    "starts, n_samples",
-    [
-        ([0, 5, 5, 9, 9, 9, 30], 40),       # zero-sample dwells
-        ([0, 0, 7, 63, 63, 64], 70),        # the first dwells hold no sample
-        ([0, 10, 40, 40, 40], 40),          # dwells clipped to n_samples
-        ([0, 3, 64, 100, 127], 128),        # n_samples % 64 == 0
-        ([0, 3, 64, 100, 128], 128),        # ... with a clipped last dwell
-        ([0, 10, 200, 250], 300),           # words 1 and 2 hold no start
-        ([0, 1, 2, 3, 4, 5, 6, 63], 64),    # one whole word
-        ([0, 70, 190], 192),
-    ],
-)
+@pytest.mark.parametrize("starts, n_samples", LAYOUTS)
 def test_pack_dwells_matches_packbits(starts, n_samples, first_occupied):
     starts = np.array(starts, dtype=np.int64)
-    words = _pack_dwells(starts, n_samples, first_occupied)
+    words = pack_in_chunks(starts, n_samples, first_occupied, [])
     assert words.dtype == np.dtype("<u8")
     assert np.array_equal(words, reference_words(starts, n_samples, first_occupied))
+
+
+@pytest.mark.parametrize("first_occupied", [True, False])
+@pytest.mark.parametrize(
+    "starts, n_samples, cuts",
+    [
+        # word 0 split over three chunks, twice between the two flips
+        # of a zero-sample dwell
+        ([0, 5, 5, 9, 9, 9, 30], 40, [1, 4]),
+        ([0, 1, 2, 3, 4, 5, 6, 63], 64, [3, 5]),
+        # chunks of a single flip
+        ([0, 10, 200, 250], 300, [1, 2]),
+        ([0, 5, 5, 9, 9, 9, 30], 40, [1, 2, 3, 4, 5]),
+        # a chunk ending on bit 63, the next starting at bit 0 of a word
+        ([0, 0, 7, 63, 63, 64], 70, [4]),
+        ([0, 3, 64, 100, 128], 128, [1, 3]),
+        # the edge that ends the run, past n_samples, alone in the last chunk
+        ([0, 10, 39, 41], 40, [2]),
+    ],
+)
+def test_pack_dwells_in_chunks_matches_packbits(starts, n_samples, cuts, first_occupied):
+    starts = np.array(starts, dtype=np.int64)
+    assert np.array_equal(pack_in_chunks(starts, n_samples, first_occupied, cuts),
+                          reference_words(starts, n_samples, first_occupied))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     n_samples=st.integers(1, 700),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    cut_fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
     first_occupied=st.booleans(),
 )
-def test_pack_dwells_matches_packbits_random(n_samples, fractions, first_occupied):
-    later = np.sort(np.round(np.array(fractions) * n_samples).astype(np.int64))
+def test_pack_dwells_matches_packbits_random(n_samples, fractions, cut_fractions,
+                                            first_occupied):
+    # starts may reach n_samples + 1, as they do in simulate_telegraph
+    later = np.sort(np.round(np.array(fractions) * (n_samples + 1)).astype(np.int64))
     starts = np.concatenate(([0], later))
-    assert np.array_equal(_pack_dwells(starts, n_samples, first_occupied),
+    cuts = np.sort(np.round(np.array(cut_fractions) * later.size).astype(np.int64))
+    assert np.array_equal(pack_in_chunks(starts, n_samples, first_occupied, cuts),
                           reference_words(starts, n_samples, first_occupied))
