@@ -215,6 +215,9 @@ def _first_sample_index(edges: np.ndarray, dt: float) -> np.ndarray:
 #: that every chunk starts on a dwell of the first state, and small enough
 #: that a pass over one chunk's buffers stays in cache
 _CHUNK = 1 << 14
+#: samples a telegraph grid may hold: sample indices are int64, with a
+#: factor 2 to spare for the rounding of edge / dt
+_MAX_SAMPLES = 2.0 ** 62
 
 
 def _xor_flips(words: np.ndarray, starts: np.ndarray) -> None:
@@ -300,9 +303,10 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     prefix per word: under 3 bytes per dwell at its peak for 1e6 dwells
     at 5 samples per dwell.
 
-    Raises MaterialError when the samples cannot fill the blocks, or when
-    the acf within the fit window is not positive (too few samples per
-    correlation time), so the decay fit would take the log of it.
+    Raises MaterialError when the samples cannot fill the blocks, when
+    the grid passes 2**62 samples or its packed words cannot be allocated,
+    or when the acf within the fit window is not positive (too few samples
+    per correlation time), so the decay fit would take the log of it.
     """
     if n_dwell < MIN_DWELL:
         raise MaterialError(f"need at least {MIN_DWELL} dwell events")
@@ -323,6 +327,12 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     even_mean, odd_mean = ((tau_occupied, tau_empty) if first_occupied
                            else (tau_empty, tau_occupied))
     dt = min(tau_occupied, tau_empty) / samples_per_dwell
+
+    def grid_too_large(why: str) -> MaterialError:
+        return MaterialError(
+            f"the sample grid of {n_dwell} dwell events at {samples_per_dwell} "
+            f"samples per dwell {why}; lower n_dwell or samples_per_dwell")
+
     buf = np.empty(min(n_dwell, _CHUNK))
     flipped = np.zeros(0, dtype="<u8")
     total = 0.0
@@ -334,6 +344,10 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
         edges[0] += total
         np.cumsum(edges, out=edges)
         total = float(edges[-1])
+        # every sample index, and the quotients edge / dt that round to
+        # them, must fit int64; a product, as dt may underflow to 0
+        if not total < dt * _MAX_SAMPLES:
+            raise grid_too_large("passes 2**62 samples")
         # sample i, at time (i + 0.5) dt, lies in the dwell after an edge
         # when the edge is at or before it.  The last edge, which ends the
         # run, starts no dwell: it falls at sample n_samples or the next,
@@ -341,7 +355,11 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
         starts = _first_sample_index(edges, dt)
         size = int(total / dt) // 64 + 2
         if size > flipped.size:
-            grown = np.zeros(max(size, 2 * flipped.size), dtype="<u8")
+            try:
+                grown = np.zeros(max(size, 2 * flipped.size), dtype="<u8")
+            except MemoryError:
+                raise grid_too_large(f"needs {size} words of packed samples, "
+                                     "more than can be allocated") from None
             grown[:flipped.size] = flipped
             flipped = grown
         _xor_flips(flipped, starts)

@@ -1,14 +1,17 @@
-"""scipy is a test-only dependency, and the oracles stay off production paths.
+"""scipy and numpy.polynomial stay test-only; the oracles stay off production paths.
 
 scipy once cost most of a cold start.  It now serves only the tests, as
 the referee of the numpy quadrature and matrix oracles, so no run of the
 program may load it: not ``verify``, not ``nuclear_field``, not any other
-command.  The ``radius`` and ``profile`` commands run the root finder,
-where a scipy solver would be the easy thing to reach for, and
-``validity`` evaluates the closed forms whose matrix oracles live in
-``donor_halo.oracles``; those commands must not import the oracles
-either.  The checks run in fresh interpreters and look at module names,
-not at wall time, so they do not depend on the speed of the host.
+command.  The same holds for ``numpy.polynomial``, which ``import numpy``
+does not load: the Gauss-Legendre nodes are constants of
+``donor_halo.numerics``, and only the tests compute them again.  The
+``radius`` and ``profile`` commands run the root finder, where a scipy
+solver would be the easy thing to reach for, and ``validity`` evaluates
+the closed forms whose matrix oracles live in ``donor_halo.oracles``;
+those commands must not import the oracles either.  The checks run in
+fresh interpreters and look at module names, not at wall time, so they
+do not depend on the speed of the host.
 """
 
 import os
@@ -20,17 +23,21 @@ import donor_halo
 
 SRC = str(Path(donor_halo.__file__).resolve().parent.parent)
 
-PROBE = """
+FORBIDDEN = """
 import sys
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
-def step(label):
-    loaded = scipy_modules()
+def refuse_forbidden_modules(label):
+    loaded = sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy"
+                    or name.split(".")[:2] == ["numpy", "polynomial"])
     if loaded:
-        print(f"{label} loaded {len(loaded)} scipy modules, first {loaded[0]}")
+        print(f"{label} loaded {len(loaded)} forbidden modules, first {loaded[0]}")
         sys.exit(1)
+"""
+
+PROBE = FORBIDDEN + """
+def step(label):
+    refuse_forbidden_modules(label)
     if "donor_halo.oracles" in sys.modules:
         print(f"{label} imported donor_halo.oracles")
         sys.exit(1)
@@ -53,14 +60,8 @@ print("ok")
 """
 
 
-VERIFY_PROBE = """
-import sys
-
-def step(label):
-    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-    if loaded:
-        print(f"{label} loaded {len(loaded)} scipy modules, first {loaded[0]}")
-        sys.exit(1)
+VERIFY_PROBE = FORBIDDEN + """
+step = refuse_forbidden_modules
 
 import donor_halo.checks
 step("import donor_halo.checks")
@@ -70,7 +71,7 @@ field = nuclear_field(profile(1e-2, np.linspace(0.05, 3.0, 8)), get_material("Ga
 assert 0.0 < field.b_n_exact < get_material("GaAs:As75").b_n0
 step("nuclear_field")
 from donor_halo import cli
-for suite in ("exact-oracles", "reference-numbers"):
+for suite in ("exact-oracles", "properties", "reference-numbers"):
     code = cli.main(["verify", "--suite", suite, "--out", sys.argv[1]])
     assert code in (0, 4), code
     step(f"cli.main(['verify', '--suite', '{suite}'])")

@@ -238,6 +238,24 @@ def test_estimator_rejects_bad_options(options, match):
         simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=1000, seed=1, **options)
 
 
+@pytest.mark.parametrize(
+    "samples_per_dwell, match",
+    [
+        # the grid passes int64 before any sample index is cast
+        (1e300, r"passes 2\*\*62 samples"),
+        # the grid fits int64, but its packed words would take 112 PiB
+        (1e15, "more than can be allocated"),
+    ],
+)
+def test_estimator_refuses_a_grid_too_large(samples_per_dwell, match):
+    with pytest.raises(MaterialError, match=match) as err:
+        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=1000, seed=1,
+                           samples_per_dwell=samples_per_dwell)
+    message = str(err.value)
+    assert "\n" not in message
+    assert "n_dwell" in message and "samples_per_dwell" in message
+
+
 def test_estimator_rejects_a_non_positive_acf_in_the_fit():
     # 0.3 samples per dwell leave the lags nearly uncorrelated, and lag 1
     # reads below zero, which the log-linear decay fit cannot take
