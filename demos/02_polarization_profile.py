@@ -8,21 +8,18 @@ modulated quadrupolar coupling takes over and the polarization
 collapses.  The collapse happens sooner along the magnetic field
 (smaller angular denominator) than perpendicular to it.
 
-Writes profile.csv and profile.svg next to this script.
+Writes profile.csv and profile.svg into the working directory, through
+the command-line driver.
 """
 
-from pathlib import Path
+import sys
 
 import numpy as np
 
-from donor_halo import (half_polarization_radius, profile, quadrupolar_radius,
-                        screening_fraction)
-from donor_halo.svgplot import line_chart
+from donor_halo import half_polarization_radius, quadrupolar_radius, screening_fraction
+from donor_halo.cli import main
 
 F0 = 1e-2     # hyperfine/quadrupolar amplitude at half occupancy, GaAs-like
-
-grid = np.linspace(0.05, 1.5, 160)
-prof = profile(F0, grid)
 
 print(f"competition amplitude f0 = {F0:g}")
 print(f"half-polarization radius along the field     : "
@@ -36,17 +33,9 @@ print(f"enclosed-charge fraction there, s(rho_q)     : "
 print("\nOnly about 3% of the electron orbital overlaps the polarized core:")
 print("the nuclear field on the electron drops by the same factor.")
 
-out = Path(__file__).resolve().parent
-rows = ["r,p_parallel,p_perpendicular,p_avg"] + [
-    f"{r:.6g},{a:.6g},{b:.6g},{c:.6g}"
-    for r, a, b, c in zip(grid, prof.p_parallel, prof.p_perpendicular, prof.p_avg)
-]
-(out / "profile.csv").write_text("\n".join(rows) + "\n")
-(out / "profile.svg").write_text(line_chart(
-    [(grid, prof.p_parallel, "parallel"),
-     (grid, prof.p_perpendicular, "perpendicular"),
-     (grid, prof.p_avg, "sphere average")],
-    xlabel="distance from donor (a0* units)",
-    ylabel="normalized polarization",
-    title=f"polarization profile, f0 = {F0:g}"))
-print(f"\nwrote {out / 'profile.csv'} and {out / 'profile.svg'}")
+for out, fmt in (("profile.csv", "csv"), ("profile.svg", "svg")):
+    code = main(["profile", "--f0", repr(F0), "--r-max", "1.5", "--points", "160",
+                 "--format", fmt, "--out", out])
+    if code:
+        sys.exit(code)
+print("\nwrote profile.csv and profile.svg")

@@ -7,14 +7,16 @@ radius rho_q and the fraction s(rho_q) of the electron orbital that the
 polarized core covers -- the step-model estimate of the nuclear field
 in units of its homogeneous-polarization value.
 
-Writes radius.csv next to completion.
+Writes radius.csv into the working directory, through the command-line
+driver.
 """
 
-from pathlib import Path
+import sys
 
 import numpy as np
 
 from donor_halo import radius_sweep
+from donor_halo.cli import main
 
 table = radius_sweep(np.geomspace(1e-4, 1.0, 17))
 
@@ -28,7 +30,8 @@ print("f0 ~ 1e-2 (GaAs at half occupancy) the core holds only a few")
 print("percent of the orbital; without quadrupolar relaxation the")
 print("spin-diffusion boundary at 1.4 a0* would hold about half.")
 
-out = Path(__file__).resolve().parent / "radius.csv"
-rows = ["f0,rho_q,s_rho_q"] + [f"{a:.6g},{b:.6g},{c:.6g}" for a, b, c in table]
-out.write_text("\n".join(rows) + "\n")
-print(f"\nwrote {out}")
+code = main(["radius", "--f0-min", "1e-4", "--f0-max", "1", "--points", "17",
+             "--out", "radius.csv"])
+if code:
+    sys.exit(code)
+print("\nwrote radius.csv")

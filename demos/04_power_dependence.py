@@ -12,16 +12,17 @@ one half.  Sweeping the excitation power for the GaAs defaults shows:
   with the growing free-electron population and therefore keeps falling
   at high power.
 
-Writes power.csv and power.svg next to this script.
+Writes power.csv and power.svg into the working directory, through the
+command-line driver.
 """
 
-from pathlib import Path
+import sys
 
 import numpy as np
 
 from donor_halo import get_material, power_sweep
+from donor_halo.cli import main
 from donor_halo.kinetics import power_scale
-from donor_halo.svgplot import line_chart
 
 gaas = get_material("GaAs:As75")
 sweep = power_sweep(np.geomspace(0.1, 100.0, 31), gaas)
@@ -41,19 +42,9 @@ print(f"\nnear P0: occupancy {sweep.occupancy[i0]:.3f}, "
 print("flagged low-power rows sit where bulk spin diffusion dominates and")
 print("the local steady-state picture does not apply.")
 
-out = Path(__file__).resolve().parent
-rows = ["p_over_p0,occupancy,nf_over_na,s_rho_q,alpha_n,diffusion_flag"] + [
-    f"{a:.6g},{b:.6g},{c:.6g},{d:.6g},{e:.6g},{int(f)}"
-    for a, b, c, d, e, f in zip(sweep.p_over_p0, sweep.occupancy,
-                                sweep.nf_over_na, sweep.s_rho_q,
-                                sweep.alpha_n, sweep.diffusion_flag)
-]
-(out / "power.csv").write_text("\n".join(rows) + "\n")
-(out / "power.svg").write_text(line_chart(
-    [(sweep.p_over_p0, sweep.occupancy, "occupancy"),
-     (sweep.p_over_p0, sweep.nf_over_na, "n_f / N_A"),
-     (sweep.p_over_p0, sweep.s_rho_q, "s(rho_q)"),
-     (sweep.p_over_p0, sweep.alpha_n, "alpha_n")],
-    xlabel="excitation power (P0 units)", ylabel="dimensionless",
-    title="GaAs:As75 power dependence", logx=True, logy=True))
-print(f"\nwrote {out / 'power.csv'} and {out / 'power.svg'}")
+for out, fmt in (("power.csv", "csv"), ("power.svg", "svg")):
+    code = main(["power", "--material", gaas.name, "--p-min", "0.1", "--p-max", "100",
+                 "--points", "31", "--format", fmt, "--out", out])
+    if code:
+        sys.exit(code)
+print("\nwrote power.csv and power.svg")

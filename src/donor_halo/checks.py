@@ -545,11 +545,6 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
             and kinetics.telegraph_amplitude(1.0, 0.5) == 0.0
         return ok and zero, "non-negative, even, maximal at zero lag; off at occ 0 and 1"
 
-    def hyperfine_amplitude() -> tuple[bool, str]:
-        values = [kinetics.hyperfine_correlation_amplitude(g) for g in (0.0, 0.5, 1.0)]
-        ok = values == [0.0, 0.5, 1.0]
-        return ok, f"g_H(0) at occ (0, 0.5, 1) = {values}"
-
     def efg_shape() -> tuple[bool, str]:
         rng = np.random.default_rng(seed)
         worst_trace = 0.0
@@ -632,7 +627,6 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
         ("radial-factor-monotone", radial_factor_monotone),
         ("power-map-monotone", power_map_monotone),
         ("correlation-shape", correlation_shape),
-        ("hyperfine-amplitude", hyperfine_amplitude),
         ("efg-traceless", efg_shape),
         ("field-normalization", field_normalization),
         ("eta-power-law", eta_power_law),

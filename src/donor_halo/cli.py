@@ -16,6 +16,12 @@ verify     run the verification suites (--seed N seeds the Monte Carlo);
            nonzero exit on any failure
 materials  list the registry, or dump one record with --material
 
+Each option is declared once, in ``_COMMANDS``.  Its value comes from the
+command line, else the ``--config`` file, else its default, with the same
+parsing, checks and messages.  A config key is an option of the command,
+spelled as on the command line (flags take ``true`` or ``false``), or a
+material field; any other key exits 2.
+
 Exit codes: 0 success, 2 usage error, 3 numerical failure,
 4 verification failure.  CSV outputs carry a '#' metadata header and
 are byte-identical for identical configuration.  ``--format`` applies to
@@ -27,7 +33,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,11 +48,50 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_CONFIG_KEYS = ("material", "out", "format", "seed")
-
 #: the keys of checks.SUITES, kept here so that building the parser does
 #: not import the verification suites and their oracles
 VERIFY_SUITES = ("exact-oracles", "properties", "reference-numbers", "telegraph-mc")
+
+
+class Option(NamedTuple):
+    """One option of one command, on the command line and in a config file."""
+
+    name: str                              # as on the command line, without "--"
+    parse: Callable[[str], object]         # text -> value; ValueError if malformed
+    default: object
+    help: str
+    check: Callable[[str, object], None] | None = None
+    choices: tuple[str, ...] | None = None
+    repeat: bool = False                   # a list; one item per config key
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+def _finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise MaterialError(f"{name} must be finite, got {value}")
+
+
+def _positive(name: str, value: float) -> None:
+    _finite(name, value)
+    if value <= 0.0:
+        raise MaterialError(f"{name} must be positive, got {value}")
+
+
+def _at_least(low: int) -> Callable[[str, int], None]:
+    def check(name: str, value: int) -> None:
+        if value < low:
+            raise MaterialError(f"{name} must be at least {low}, got {value}")
+    return check
+
+
+def _enough_dwell(name: str, value: int) -> None:
+    from . import checks   # loads the oracles
+    _at_least(checks.MIN_DWELL)(name, value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,57 +101,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"donor-halo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--material", default=None, help="registry record name")
-        p.add_argument("--config", default=None, help="config file (registry format)")
+    for name, (command, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        p.add_argument("--config", help="file of key = value lines: options or material fields")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a material field (repeatable)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-    p = sub.add_parser("profile", help="polarization profile curves")
-    common(p)
-    p.add_argument("--format", choices=("csv", "svg"), default=None)
-    p.add_argument("--f0", type=float, default=None,
-                   help="competition amplitude (default 1e-2)")
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-
-    p = sub.add_parser("radius", help="quadrupolar radius sweep")
-    common(p)
-    p.add_argument("--format", choices=("csv", "svg"), default=None)
-    p.add_argument("--f0-min", type=float, default=None)
-    p.add_argument("--f0-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-
-    p = sub.add_parser("power", help="excitation-power sweep")
-    common(p)
-    p.add_argument("--format", choices=("csv", "svg"), default=None)
-    p.add_argument("--p-min", type=float, default=None, help="lowest power, P0 units")
-    p.add_argument("--p-max", type=float, default=None, help="highest power, P0 units")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--no-quadrupolar", action="store_true",
-                   help="disable the quadrupolar channel (diffusion ceiling only)")
-
-    p = sub.add_parser("validity", help="regime report for one operating point")
-    common(p)
-    p.add_argument("--field", type=float, default=None, help="magnetic field, T")
-    p.add_argument("--r", type=float, default=None, help="distance, a0* units")
-    p.add_argument("--occupancy", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None,
-                   help="high-field margin (default 10)")
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    common(p)
-    p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-    p.add_argument("--suite", action="append", default=None,
-                   choices=VERIFY_SUITES, help="run only this suite (repeatable)")
-    p.add_argument("--dwell", type=int, default=None,
-                   help="Monte Carlo dwell events (default 1000000, at least 128)")
-
-    p = sub.add_parser("materials", help="list records or dump one")
-    common(p)
+        for opt in options:
+            text = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
+            if opt.parse is _flag:
+                p.add_argument(f"--{opt.name}", action="store_true", default=None, help=text)
+            else:
+                p.add_argument(f"--{opt.name}", type=opt.parse, choices=opt.choices,
+                               action="append" if opt.repeat else "store", help=text)
     return parser
 
 
@@ -114,7 +120,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MaterialError(f"cannot read config {path}: {exc}") from exc
     # registry-style file: optional [run] (or any single block) header,
     # key = value lines, '#' comments
@@ -122,64 +128,52 @@ def _load_config(path: str) -> dict[str, str]:
             if header is None}
 
 
-def _resolve_material(args: argparse.Namespace,
-                      config: dict[str, str]) -> tuple[MaterialRecord, dict[str, object]]:
-    name = args.material or config.get("material") or "GaAs:As75"
-    mat = get_material(name)
-    overrides: dict[str, object] = {}
-    for key, value in config.items():
-        if key in _CONFIG_KEYS or _is_option_key(args, key):
-            continue
-        overrides[key] = coerce_field(key, value)
+def _from_config(opt: Option, text: str) -> object:
+    try:
+        value = opt.parse(text)
+        if opt.choices is not None and value not in opt.choices:
+            raise ValueError(text)
+    except ValueError as exc:
+        raise MaterialError(f"bad value for {opt.name}: {text!r}") from exc
+    return [value] if opt.repeat else value
+
+
+def _resolve(args: argparse.Namespace, config: dict[str, str]) -> dict[str, object]:
+    """Set each option in ``args``: command line, else config file, else default.
+
+    Returns the material overrides: the config keys that are not options
+    of the command, then each ``--set``.
+    """
+    options = _COMMANDS[args.command][1]
+    names = {opt.name for opt in options}
+    overrides = {key: coerce_field(key, text) for key, text in config.items()
+                 if key not in names}
+    for opt in options:
+        dest = opt.name.replace("-", "_")
+        value = getattr(args, dest)
+        if opt.name in config:
+            configured = _from_config(opt, config[opt.name])
+            value = configured if value is None else value
+        if value is None:
+            value = opt.default
+        if opt.check is not None:
+            opt.check(opt.name, value)
+        setattr(args, dest, value)
     for item in args.set:
         if "=" not in item:
             raise MaterialError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = coerce_field(key, value)
-    return (mat.with_overrides(**overrides) if overrides else mat), overrides
+    return overrides
 
 
-def _is_option_key(args: argparse.Namespace, key: str) -> bool:
-    return key.replace("-", "_") in vars(args)
-
-
-def _option(args: argparse.Namespace, config: dict[str, str], key: str,
-            default, cast=float):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None and key in config:
-        try:
-            value = cast(config[key])
-        except ValueError as exc:
-            raise MaterialError(f"bad value for {key}: {config[key]!r}") from exc
-    if value is None:
-        return default
-    if isinstance(value, float) and not math.isfinite(value):
-        raise MaterialError(f"{key} must be finite, got {value}")
-    return value
-
-
-def _grid_end(args: argparse.Namespace, config: dict[str, str], key: str,
-              default: float) -> float:
-    """An end of a logarithmic grid, which must be positive."""
-    value = _option(args, config, key, default)
-    if value <= 0.0:
-        raise MaterialError(f"{key} must be positive, got {value}")
-    return value
-
-
-def _points(args: argparse.Namespace, config: dict[str, str], default: int) -> int:
-    points = int(_option(args, config, "points", default, int))
-    if points < 1:
-        raise MaterialError(f"points must be at least 1, got {points}")
-    return points
+def _material(args: argparse.Namespace, overrides: dict[str, object]) -> MaterialRecord:
+    mat = get_material(args.material)
+    return mat.with_overrides(**overrides) if overrides else mat
 
 
 def _require_finite(**numbers) -> None:
-    """NumericalError unless every number (float or array) is finite.
-
-    Each command passes what it is about to write through here, so no
-    output carries a nan or inf cell; the command exits 3 instead.
-    """
+    """NumericalError (exit 3) unless every number (float or array) to be written is finite."""
     for name, value in numbers.items():
         if not np.all(np.isfinite(value)):
             raise NumericalError(f"{name} is not finite; nothing was written")
@@ -195,16 +189,9 @@ def _write(text: str, out: str | None) -> None:
 
 def _metadata(command: str, mat: MaterialRecord, overrides: dict[str, object],
               options: dict[str, object]) -> list[str]:
-    lines = [
-        f"# donor-halo {__version__}",
-        f"# command = {command}",
-        f"# material = {mat.name}",
-    ]
-    for key in sorted(overrides):
-        lines.append(f"# override {key} = {overrides[key]}")
-    for key in sorted(options):
-        lines.append(f"# {key} = {options[key]}")
-    return lines
+    lines = [f"# donor-halo {__version__}", f"# command = {command}", f"# material = {mat.name}"]
+    lines += [f"# override {key} = {overrides[key]}" for key in sorted(overrides)]
+    return lines + [f"# {key} = {options[key]}" for key in sorted(options)]
 
 
 def _csv(header: list[str], columns: list[str], rows: list[Sequence[object]]) -> str:
@@ -232,123 +219,98 @@ def _calibrated_diffusion(mat: MaterialRecord) -> str:
     return f"{diffusion:.9g}"
 
 
-def _cmd_profile(args: argparse.Namespace, config: dict[str, str]) -> int:
-    mat, overrides = _resolve_material(args, config)
-    f0 = _option(args, config, "f0", 1e-2)
-    r_min = _option(args, config, "r-min", 0.05)
-    r_max = _option(args, config, "r-max", 3.0)
-    points = _points(args, config, 120)
-    fmt = _option(args, config, "format", "csv", str)
-    grid = np.linspace(r_min, r_max, points)
-    prof = polarization.profile(f0, grid)
+def _cmd_profile(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
+    """polarization profile curves"""
+    mat = _material(args, overrides)
+    grid = np.linspace(args.r_min, args.r_max, args.points)
+    prof = polarization.profile(args.f0, grid)
     _require_finite(r=grid, p_parallel=prof.p_parallel, p_perpendicular=prof.p_perpendicular,
                     p_avg=prof.p_avg, rho_q=prof.rho_q, s_rho_q=prof.s_at_rho_q)
     options = {
-        "f0": f0, "r_min": r_min, "r_max": r_max, "points": points,
+        "f0": args.f0, "r_min": args.r_min, "r_max": args.r_max, "points": args.points,
         "rho_q": f"{prof.rho_q:.9g}", "s_rho_q": f"{prof.s_at_rho_q:.9g}",
         "calibrated_D": _calibrated_diffusion(mat),
     }
-    if fmt == "svg":
-        text = svgplot.line_chart(
+    if args.format == "svg":
+        return svgplot.line_chart(
             [(grid, prof.p_parallel, "parallel"),
              (grid, prof.p_perpendicular, "perpendicular"),
              (grid, prof.p_avg, "sphere average")],
             xlabel="distance (a0* units)", ylabel="normalized polarization",
-            title=f"{mat.name}: polarization profile, f0={f0:g}")
-    else:
-        rows = list(zip(grid, prof.p_parallel, prof.p_perpendicular, prof.p_avg))
-        text = _csv(_metadata("profile", mat, overrides, options),
-                    ["r", "p_parallel", "p_perpendicular", "p_avg"], rows)
-    _write(text, args.out or config.get("out"))
-    return EXIT_OK
+            title=f"{mat.name}: polarization profile, f0={args.f0:g}"), EXIT_OK
+    rows = list(zip(grid, prof.p_parallel, prof.p_perpendicular, prof.p_avg))
+    return _csv(_metadata("profile", mat, overrides, options),
+                ["r", "p_parallel", "p_perpendicular", "p_avg"], rows), EXIT_OK
 
 
-def _cmd_radius(args: argparse.Namespace, config: dict[str, str]) -> int:
-    mat, overrides = _resolve_material(args, config)
-    f0_min = _grid_end(args, config, "f0-min", 1e-4)
-    f0_max = _grid_end(args, config, "f0-max", 1.0)
-    points = _points(args, config, 25)
-    fmt = _option(args, config, "format", "csv", str)
-    table = polarization.radius_sweep(np.geomspace(f0_min, f0_max, points))
+def _cmd_radius(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
+    """quadrupolar radius sweep"""
+    mat = _material(args, overrides)
+    table = polarization.radius_sweep(np.geomspace(args.f0_min, args.f0_max, args.points))
     _require_finite(f0=table[:, 0], rho_q=table[:, 1], s_rho_q=table[:, 2])
     options = {
-        "f0_min": f0_min, "f0_max": f0_max, "points": points,
+        "f0_min": args.f0_min, "f0_max": args.f0_max, "points": args.points,
         "calibrated_D": _calibrated_diffusion(mat),
     }
-    if fmt == "svg":
-        text = svgplot.line_chart(
+    if args.format == "svg":
+        return svgplot.line_chart(
             [(table[:, 0], table[:, 1], "rho_q (a0*)"),
              (table[:, 0], table[:, 2], "s(rho_q)")],
             xlabel="competition amplitude f0", ylabel="radius / screening",
-            title=f"{mat.name}: quadrupolar radius", logx=True, logy=True)
-    else:
-        text = _csv(_metadata("radius", mat, overrides, options),
-                    ["f0", "rho_q", "s_rho_q"], [tuple(row) for row in table])
-    _write(text, args.out or config.get("out"))
-    return EXIT_OK
+            title=f"{mat.name}: quadrupolar radius", logx=True, logy=True), EXIT_OK
+    return _csv(_metadata("radius", mat, overrides, options),
+                ["f0", "rho_q", "s_rho_q"], [tuple(row) for row in table]), EXIT_OK
 
 
-def _cmd_power(args: argparse.Namespace, config: dict[str, str]) -> int:
-    mat, overrides = _resolve_material(args, config)
-    p_min = _grid_end(args, config, "p-min", 0.1)
-    p_max = _grid_end(args, config, "p-max", 100.0)
-    points = _points(args, config, 31)
-    fmt = _option(args, config, "format", "csv", str)
+def _cmd_power(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
+    """excitation-power sweep"""
+    mat = _material(args, overrides)
     quad_on = not args.no_quadrupolar
-    sweep = polarization.power_sweep(np.geomspace(p_min, p_max, points), mat,
+    sweep = polarization.power_sweep(np.geomspace(args.p_min, args.p_max, args.points), mat,
                                      quadrupolar=quad_on)
     p0 = kinetics.power_scale(mat)
     _require_finite(p_over_p0=sweep.p_over_p0, occupancy=sweep.occupancy,
                     nf_over_na=sweep.nf_over_na, s_rho_q=sweep.s_rho_q,
                     alpha_n=sweep.alpha_n, f00=sweep.f00, p0_W_per_m2=p0)
     options = {
-        "p_min": p_min, "p_max": p_max, "points": points,
+        "p_min": args.p_min, "p_max": args.p_max, "points": args.points,
         "quadrupolar": quad_on,
         "p0_W_per_m2": f"{p0:.9g}",
         "f00": f"{sweep.f00:.9g}",
         "rho_d_cap": f"{sweep.rho_d:.9g}",
         "calibrated_D": _calibrated_diffusion(mat),
     }
-    if fmt == "svg":
-        text = svgplot.line_chart(
+    if args.format == "svg":
+        return svgplot.line_chart(
             [(sweep.p_over_p0, sweep.occupancy, "occupancy"),
              (sweep.p_over_p0, sweep.nf_over_na, "n_f / N_A"),
              (sweep.p_over_p0, sweep.s_rho_q, "s(rho_q)"),
              (sweep.p_over_p0, sweep.alpha_n, "alpha_n")],
             xlabel="excitation power (P0 units)", ylabel="dimensionless",
-            title=f"{mat.name}: power dependence", logx=True, logy=True)
-    else:
-        rows = list(zip(sweep.p_over_p0, sweep.occupancy, sweep.nf_over_na,
-                        sweep.s_rho_q, sweep.alpha_n, sweep.diffusion_flag))
-        text = _csv(_metadata("power", mat, overrides, options),
-                    ["p_over_p0", "occupancy", "nf_over_na", "s_rho_q",
-                     "alpha_n", "diffusion_flag"], rows)
-    _write(text, args.out or config.get("out"))
-    return EXIT_OK
+            title=f"{mat.name}: power dependence", logx=True, logy=True), EXIT_OK
+    rows = list(zip(sweep.p_over_p0, sweep.occupancy, sweep.nf_over_na,
+                    sweep.s_rho_q, sweep.alpha_n, sweep.diffusion_flag))
+    return _csv(_metadata("power", mat, overrides, options),
+                ["p_over_p0", "occupancy", "nf_over_na", "s_rho_q",
+                 "alpha_n", "diffusion_flag"], rows), EXIT_OK
 
 
-def _cmd_validity(args: argparse.Namespace, config: dict[str, str]) -> int:
-    mat, overrides = _resolve_material(args, config)
-    b_field = _option(args, config, "field", 1.0)
-    r = _option(args, config, "r", 0.5)
-    occ = _option(args, config, "occupancy", 0.5)
-    margin = _option(args, config, "margin", 10.0)
-    state = kinetics.state_for_occupancy(occ, mat)
-    report = validity.build_report(b_field, r, state, Geometry(), mat, margin=margin)
+def _cmd_validity(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
+    """regime report for one operating point"""
+    mat = _material(args, overrides)
+    state = kinetics.state_for_occupancy(args.occupancy, mat)
+    report = validity.build_report(args.field, args.r, state, Geometry(), mat,
+                                   margin=args.margin)
     _require_finite(**{key: value for key, value in vars(report).items()
                        if isinstance(value, float)})
-    _write(validity.render_report(report, mat), args.out or config.get("out"))
-    return EXIT_OK
+    return validity.render_report(report, mat), EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
+def _cmd_verify(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
+    """run the verification suites"""
     from . import checks   # loads the oracles
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 20260810))
-    n_dwell = int(_option(args, config, "dwell", 1_000_000, int))
-    if n_dwell < checks.MIN_DWELL:
-        raise MaterialError(f"dwell must be at least {checks.MIN_DWELL}, got {n_dwell}")
-    results = checks.run_suites(args.suite, seed=seed, n_dwell=n_dwell)
+    results = checks.run_suites(args.suite, seed=args.seed, n_dwell=args.dwell)
     lines = []
     by_suite: dict[str, list[checks.CheckResult]] = {}
     for res in results:
@@ -365,27 +327,60 @@ def _cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
         ok_count = sum(1 for r in items if r.ok)
         lines.append(f"-- suite {suite}: {ok_count}/{len(items)} passed")
     lines.append(f"== total: {len(results) - failed}/{len(results)} passed")
-    _write("\n".join(lines) + "\n", args.out or config.get("out"))
-    return EXIT_OK if failed == 0 else EXIT_VERIFY
+    return "\n".join(lines) + "\n", EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _cmd_materials(args: argparse.Namespace, config: dict[str, str]) -> int:
-    if args.material or config.get("material"):
-        mat, overrides = _resolve_material(args, config)
-        text = dump_record(mat)
-    else:
-        text = "\n".join(list_materials()) + "\n"
-    _write(text, args.out or config.get("out"))
-    return EXIT_OK
+def _cmd_materials(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
+    """list records or dump one"""
+    if args.material:
+        return dump_record(_material(args, overrides)), EXIT_OK
+    return "\n".join(list_materials()) + "\n", EXIT_OK
 
 
-_COMMANDS = {
-    "profile": _cmd_profile,
-    "radius": _cmd_radius,
-    "power": _cmd_power,
-    "validity": _cmd_validity,
-    "verify": _cmd_verify,
-    "materials": _cmd_materials,
+_OUT = Option("out", str, None, "output path (default: stdout)")
+_COMPUTE = (Option("material", str, "GaAs:As75", "registry record name"), _OUT)
+_FORMAT = Option("format", str, "csv", "output format", choices=("csv", "svg"))
+
+
+def _grid_points(default: int) -> Option:
+    return Option("points", int, default, "grid points", _at_least(1))
+
+
+_COMMANDS: dict[str, tuple[Callable[..., tuple[str, int]], tuple[Option, ...]]] = {
+    "profile": (_cmd_profile, (
+        *_COMPUTE, _FORMAT,
+        Option("f0", float, 1e-2, "competition amplitude", _finite),
+        Option("r-min", float, 0.05, "first distance, a0* units", _finite),
+        Option("r-max", float, 3.0, "last distance, a0* units", _finite),
+        _grid_points(120))),
+    "radius": (_cmd_radius, (
+        *_COMPUTE, _FORMAT,
+        Option("f0-min", float, 1e-4, "lowest competition amplitude", _positive),
+        Option("f0-max", float, 1.0, "highest competition amplitude", _positive),
+        _grid_points(25))),
+    "power": (_cmd_power, (
+        *_COMPUTE, _FORMAT,
+        Option("p-min", float, 0.1, "lowest power, P0 units", _positive),
+        Option("p-max", float, 100.0, "highest power, P0 units", _positive),
+        _grid_points(31),
+        Option("no-quadrupolar", _flag, False,
+               "disable the quadrupolar channel (diffusion ceiling only)"))),
+    "validity": (_cmd_validity, (
+        *_COMPUTE,
+        Option("field", float, 1.0, "magnetic field, T", _finite),
+        Option("r", float, 0.5, "distance, a0* units", _finite),
+        Option("occupancy", float, 0.5, "donor occupancy", _finite),
+        Option("margin", float, 10.0, "high-field margin", _finite))),
+    "verify": (_cmd_verify, (
+        *_COMPUTE,
+        Option("seed", int, 20260810, "Monte Carlo seed", _at_least(0)),
+        Option("suite", str, None, "run only this suite (repeatable; default: all)",
+               choices=VERIFY_SUITES, repeat=True),
+        Option("dwell", int, 1_000_000, "Monte Carlo dwell events, at least 128",
+               _enough_dwell))),
+    "materials": (_cmd_materials, (
+        Option("material", str, None, "record to dump (default: list the registry)"),
+        _OUT)),
 }
 
 
@@ -394,10 +389,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config) if args.config else {}
+        overrides = _resolve(args, config)
         # numpy's overflow and invalid-value warnings stay silent: a result
         # they would flag is non-finite, and _require_finite refuses it
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args, config)
+            text, code = _COMMANDS[args.command][0](args, overrides)
+        _write(text, args.out)
+        return code
     except NumericalError as exc:
         print(f"donor-halo: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -159,18 +159,6 @@ def telegraph_correlation(tau: float, occ: float, screening: float,
     return amplitude * math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
 
 
-def hyperfine_correlation_amplitude(occ: float) -> float:
-    """Zero-lag amplitude of the hyperfine correlation: the occupancy itself.
-
-    The hyperfine channel only switches off when the donor is never
-    occupied, unlike the quadrupolar one which also vanishes at full
-    occupancy.
-    """
-    if not 0.0 <= occ <= 1.0:
-        raise MaterialError("occupancy must lie in [0, 1]")
-    return occ
-
-
 #: fewest dwell events :func:`simulate_telegraph` accepts
 MIN_DWELL = 4
 

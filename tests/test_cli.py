@@ -438,3 +438,88 @@ def test_verify_at_the_dwell_floor_raises_nowhere(capsys):
     results = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
     assert len(results) == 2
     assert not any("raised" in line for line in results)
+
+
+#: one value for each declared option, as typed on the command line
+OPTION_VALUES = {
+    "material": "GaAs:Ga69", "format": "svg", "f0": "0.03", "r-min": "0.1", "r-max": "2.5",
+    "points": "7", "f0-min": "1e-3", "f0-max": "0.5", "p-min": "0.5", "p-max": "20",
+    "no-quadrupolar": "true", "field": "2.0", "r": "0.8", "occupancy": "0.3",
+    "margin": "5", "seed": "3", "suite": "reference-numbers", "dwell": "2000",
+}
+#: options that keep each run small; the option under test replaces its own
+BASE_OPTIONS = {
+    "profile": {"points": "5"}, "radius": {"points": "5"}, "power": {"points": "5"},
+    "validity": {}, "verify": {"suite": "telegraph-mc", "dwell": "2000"}, "materials": {},
+}
+DECLARED = [(command, opt.name) for command, (_, options) in cli._COMMANDS.items()
+            for opt in options]
+
+
+def test_every_declared_option_has_a_value_to_try():
+    assert {name for _, name in DECLARED} == set(OPTION_VALUES) | {"out"}
+
+
+def run_cli_all(*argv, capsys):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command, name", [pair for pair in DECLARED if pair[1] != "out"])
+def test_config_and_command_line_give_the_same_output(command, name, tmp_path, capsys):
+    base = [command] + [f"--{key}={value}" for key, value in BASE_OPTIONS[command].items()
+                        if key != name]
+    value = OPTION_VALUES[name]
+    flag = [f"--{name}"] if value == "true" else [f"--{name}={value}"]
+    config = tmp_path / "run.conf"
+    config.write_text(f"{name} = {value}\n")
+    from_line = run_cli_all(*base, *flag, capsys=capsys)
+    assert run_cli_all(*base, "--config", str(config), capsys=capsys) == from_line
+    if (command, name) != ("verify", "material"):     # no suite reads the record
+        assert run_cli_all(*base, capsys=capsys) != from_line
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_config_out_writes_where_the_command_line_does(command, tmp_path, capsys):
+    base = [command] + [f"--{key}={value}" for key, value in BASE_OPTIONS[command].items()]
+    config = tmp_path / "run.conf"
+    config.write_text(f"out = {tmp_path / 'b.txt'}\n")
+    code = run_cli(*base, "--out", str(tmp_path / "a.txt"), capsys=capsys)
+    assert run_cli(*base, "--config", str(config), capsys=capsys) == code
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+def test_config_flag_true_is_applied(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("no-quadrupolar = true\n")
+    code, out = run_cli("power", "--points", "3", "--config", str(config), capsys=capsys)
+    assert code == 0 and "# quadrupolar = False" in out.splitlines()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("profile", "format = pdf\n", "bad value for format: 'pdf'"),
+    ("power", "no-quadrupolar = 1\n", "bad value for no-quadrupolar: '1'"),
+    ("profile", "r_min = 1.0\n", "unknown material field: r_min"),
+    ("profile", "set = f0=3\n", "unknown material field: set"),
+    ("verify", "seed = 1e3\n", "bad value for seed: '1e3'"),
+    ("verify", "suite = bogus\n", "bad value for suite: 'bogus'"),
+    ("profile", "seed = 1\n", "unknown material field: seed"),
+    ("validity", "format = svg\n", "unknown material field: format"),
+    ("profile", b"\xff\xfe\x00", "cannot read config "),
+])
+def test_config_keys_are_never_ignored(command, text, message, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    if isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text)
+    code, err = run_cli_err(command, "--config", str(config), capsys=capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"donor-halo: {message}")
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    # numpy's generators refuse it; it used to surface as three failed checks
+    code, err = run_cli_err("verify", "--seed", "-1", capsys=capsys)
+    assert (code, err) == (2, "donor-halo: seed must be at least 0, got -1\n")

@@ -1,12 +1,11 @@
-"""Every demo runs to the end.
+"""Every demo runs to the end and writes nothing into the checkout.
 
-The demos write their CSV and SVG files next to themselves, so each one
-runs from a copy in a temporary directory, in a fresh interpreter, with
-this checkout's package on the path.
+Each demo runs from the checkout in a fresh interpreter, with this
+checkout's package on the path and a temporary working directory, which
+is where the demos that write CSV and SVG files put them.
 """
 
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +15,8 @@ import pytest
 import donor_halo
 
 SRC = str(Path(donor_halo.__file__).resolve().parent.parent)
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
 def test_demos_are_found():
@@ -25,12 +25,12 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    script = tmp_path / demo.name
-    shutil.copyfile(demo, script)
+    before = sorted(DEMO_DIR.iterdir())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(script)], capture_output=True,
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True,
                             text=True, env=env, cwd=tmp_path, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stderr == ""
     assert result.stdout
+    assert sorted(DEMO_DIR.iterdir()) == before

@@ -7,8 +7,7 @@ from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, MaterialError, gamma_
                         get_material, invert_power, list_materials, occupancy,
                         power_closed_form, power_map, spectral_density,
                         state_for_occupancy, telegraph_correlation)
-from donor_halo.kinetics import (hyperfine_correlation_amplitude, power_scale,
-                                 telegraph_amplitude, telegraph_p_matrix)
+from donor_halo.kinetics import power_scale, telegraph_amplitude, telegraph_p_matrix
 from donor_halo.oracles import (power_map_residuals, spectral_density_quadrature,
                                 telegraph_correlation_conditionals,
                                 telegraph_p_matrix_expm)
@@ -104,11 +103,6 @@ def test_correlation_reconstruction():
 def test_correlation_requires_consistent_dwells():
     with pytest.raises(MaterialError, match="inconsistent occupancy"):
         telegraph_correlation(0.0, 0.4, 0.3, 1e-9, 1e-9)
-
-
-def test_hyperfine_amplitude_predicate():
-    assert [hyperfine_correlation_amplitude(g) for g in (0.0, 0.5, 1.0)] \
-        == [0.0, 0.5, 1.0]
 
 
 def test_spectral_density_closed_form():

@@ -207,6 +207,20 @@ def test_diffusion_radius_no_solution(gaas):
     assert swamped.value is None
 
 
+@pytest.mark.xfail(strict=True, reason="the sign-change scan stops at 60 a0*, and at D/10 "
+                   "the outermost crossing lies between 81 and 82 a0*")
+def test_diffusion_radius_moves_outward_as_diffusion_weakens(gaas):
+    # weaker spin diffusion (smaller D) can only push the outermost balance
+    # point outward, and cannot remove it
+    state = state_for_occupancy(0.5, gaas)
+    d = calibrate_diffusion(state, 0.1, gaas)
+    roots = [diffusion_radius(state, 0.1, d * scale, gaas) for scale in (1e-2, 1e-1, 1.0)]
+    for weaker, stronger in zip(roots, roots[1:]):
+        if stronger.has_solution:
+            assert weaker.has_solution
+            assert weaker.value >= stronger.value
+
+
 def test_field_reduction_ratio(gaas):
     rho_q = quadrupolar_radius(1e-2)
     ratio = screening_fraction(RHO_D_REFERENCE) / screening_fraction(rho_q)
