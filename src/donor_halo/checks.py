@@ -647,7 +647,8 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 
 def run_suites(names: Iterable[str] | None = None, seed: int = 20260810,
                n_dwell: int = 1_000_000) -> list[CheckResult]:
-    selected = list(names) if names is not None else list(SUITES)
+    # each named suite once, in the order it is first named
+    selected = list(dict.fromkeys(names)) if names is not None else list(SUITES)
     results: list[CheckResult] = []
     for name in selected:
         if name not in SUITES:

@@ -20,7 +20,8 @@ Each option is declared once, in ``_COMMANDS``.  Its value comes from the
 command line, else the ``--config`` file, else its default, with the same
 parsing, checks and messages.  A config key is an option of the command,
 spelled as on the command line (flags take ``true`` or ``false``), or a
-material field; any other key exits 2.
+material field of a command that reads a record (all but ``verify``); any
+other key exits 2.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure,
 4 verification failure.  CSV outputs carry a '#' metadata header and
@@ -103,9 +104,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (command, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__)
-        p.add_argument("--config", help="file of key = value lines: options or material fields")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a material field (repeatable)")
+        reads_record = any(opt.name == "material" for opt in options)
+        p.add_argument("--config", help="file of key = value lines: options"
+                       + (" or material fields" if reads_record else ""))
+        if reads_record:
+            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                           help="override a material field (repeatable)")
         for opt in options:
             text = opt.help if opt.default is None else f"{opt.help} (default: {opt.default})"
             if opt.parse is _flag:
@@ -146,8 +150,10 @@ def _resolve(args: argparse.Namespace, config: dict[str, str]) -> dict[str, obje
     """
     options = _COMMANDS[args.command][1]
     names = {opt.name for opt in options}
-    overrides = {key: coerce_field(key, text) for key, text in config.items()
-                 if key not in names}
+    fields = [key for key in config if key not in names]
+    if fields and "material" not in names:      # the command reads no record
+        raise MaterialError(f"unknown option of {args.command}: {fields[0]}")
+    overrides = {key: coerce_field(key, config[key]) for key in fields}
     for opt in options:
         dest = opt.name.replace("-", "_")
         value = getattr(args, dest)
@@ -159,7 +165,7 @@ def _resolve(args: argparse.Namespace, config: dict[str, str]) -> dict[str, obje
         if opt.check is not None:
             opt.check(opt.name, value)
         setattr(args, dest, value)
-    for item in args.set:
+    for item in getattr(args, "set", ()):
         if "=" not in item:
             raise MaterialError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
@@ -334,6 +340,8 @@ def _cmd_materials(args: argparse.Namespace, overrides: dict[str, object]) -> tu
     """list records or dump one"""
     if args.material:
         return dump_record(_material(args, overrides)), EXIT_OK
+    if overrides:
+        raise MaterialError("material overrides need --material; the registry list takes none")
     return "\n".join(list_materials()) + "\n", EXIT_OK
 
 
@@ -372,7 +380,7 @@ _COMMANDS: dict[str, tuple[Callable[..., tuple[str, int]], tuple[Option, ...]]] 
         Option("occupancy", float, 0.5, "donor occupancy", _finite),
         Option("margin", float, 10.0, "high-field margin", _finite))),
     "verify": (_cmd_verify, (
-        *_COMPUTE,
+        _OUT,
         Option("seed", int, 20260810, "Monte Carlo seed", _at_least(0)),
         Option("suite", str, None, "run only this suite (repeatable; default: all)",
                choices=VERIFY_SUITES, repeat=True),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BracketError, MaterialError, NumericalError
 from .materials import MaterialRecord
-from .numerics import MAX_STEPS, all_true, any_true, as_operand, solve
+from .numerics import MAX_STEPS, all_true, any_true, as_operand
 
 #: below this donor occupancy, bulk spin diffusion dominates the nuclear
 #: polarization and the local steady-state model loses validity
@@ -524,8 +524,7 @@ def invert_power(power, mat: MaterialRecord):
     at the floor of the bracket, occupancy 1e-16, raises BracketError.
     Beyond the top of the bracket the occupancy sits on its asymptotic
     plateau, and the top is returned.  Takes a float, bisected on floats,
-    or an array, bisected in lockstep by
-    :func:`donor_halo.numerics.solve` through the same midpoints, so both
+    or an array, bisected in lockstep through the same midpoints, so both
     give identical occupancies.
     """
     power = as_operand(power)
@@ -538,12 +537,20 @@ def invert_power(power, mat: MaterialRecord):
         raise BracketError(f"power {np.min(power):.6g} W/m^2 is below {floor:.6g} W/m^2, "
                            f"which sustains occupancy {lo:g}")
     if not isinstance(power, float):
-        tol = _POWER_RTOL * power
-        occ = solve(lambda g: power_map(g, mat).power - power,
-                    np.full(power.shape, lo), np.full(power.shape, hi),
-                    what="power inversion",
-                    done=lambda g, f, lo, hi: (np.abs(f) <= tol) | (hi - lo <= resolved * hi))
-        return np.where(power_map(hi, mat).power < power, hi, occ)
+        top, tol = hi, _POWER_RTOL * power
+        lo, hi = np.full(power.shape, lo), np.full(power.shape, hi)
+        occ = 0.5 * (lo + hi)
+        active = np.ones(power.shape, dtype=bool)
+        for _ in range(MAX_STEPS):
+            value = power_map(occ, mat).power
+            active &= (np.abs(value - power) > tol) & (hi - lo > resolved * hi)
+            if not active.any():
+                return np.where(power_map(top, mat).power < power, top, occ)
+            below = value < power
+            np.copyto(lo, occ, where=active & below)
+            np.copyto(hi, occ, where=active & ~below)
+            np.copyto(occ, 0.5 * (lo + hi), where=active)
+        raise BracketError("power inversion did not converge")
     if power_map(hi, mat).power < power:
         return hi             # asymptotic plateau beyond any finite bracket
     for _ in range(MAX_STEPS):

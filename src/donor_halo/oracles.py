@@ -213,7 +213,7 @@ def quadrupolar_radius_bisection(f0: float) -> float:
 
 def spin_temperature_eta_bisection(mat: MaterialRecord,
                                    reference_field: float = 1.0) -> float:
-    """Oracle for ``validity.spin_temperature_eta``: solve, do not invert.
+    """Oracle for ``validity.spin_temperature_eta``: bisect, do not invert.
 
     Bisects |d(shift)/dr| * d = hbar gamma I B_L in log r at the reference
     field, with the derivative of the worst-case shift taken by central

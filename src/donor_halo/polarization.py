@@ -15,17 +15,19 @@ Radial arguments are in units of the effective Bohr radius.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MaterialError
-from .fields import Geometry, screening_density, screening_fraction
+from .fields import (Geometry, log_screening_fraction, screening_density,
+                     screening_fraction)
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
                        power_map, power_scale)
 from .materials import MaterialRecord
-from .numerics import as_operand, gauss_legendre, solve
+from .numerics import as_operand, gauss_legendre
 from .relaxation import (intrinsic_ratio, log_radial_profile, radial_profile_inverse,
                          rates)
 
@@ -135,7 +137,7 @@ class RadialProfile:
     f0: float
     rho_q: float                  # a0* units
     s_at_rho_q: float
-    rho_d: float | None = None    # a0* units, when a diffusion solve was done
+    rho_d: float | None = None    # a0* units, when a diffusion radius was found
 
 
 def profile(f0: float, r_grid: np.ndarray, rho_d: float | None = None) -> RadialProfile:
@@ -223,6 +225,22 @@ class DiffusionRadius(NamedTuple):
     has_solution: bool
 
 
+#: root of 4 r^3 e^{-2r} = s(r), where s(r)^2 / r^2 peaks: past it both
+#: channels of the diffusion balance fall with r
+R_B = 1.6918171414265903
+_LOG_R_B = math.log(R_B)
+_LOG_2 = math.log(2.0)
+
+
+def _last_positive(func, lo: float, hi: float) -> float:
+    """Bisect [lo, hi], to a few ulps, for where func turns from > 0 to <= 0."""
+    resolution = 8.0 * sys.float_info.epsilon * max(1.0, abs(lo), abs(hi))
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if func(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: float,
                      mat: MaterialRecord, *, include_quadrupolar: bool = True,
                      f0: float | None = None) -> DiffusionRadius:
@@ -236,39 +254,48 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     The quadrupolar channel enters through the angular-averaged inverse
     ratio 2/(f0 * phi(r)); by default f0 follows from the kinetic state,
     and can be overridden to probe a prescribed competition strength.
+
+    On u = log r the balance is L = log(Gamma_1 a0*^2 / D) + log(r^2
+    e^{-4(r-1)} + 2 s^2 / (f0 r^2)), Gamma_1 the hyperfine rate at r = 1.
+    L rises below r = 1/2, falls past R_B, and has one maximum between,
+    found by bisecting the sign of dL/du; the value is None exactly when
+    L <= 0 there.  Otherwise the root is bisected between the maximum and
+    a closed-form end past which each channel is below D/2.
     """
-    if diffusion_constant <= 0.0:
-        raise MaterialError("diffusion constant must be positive")
-    occ = state.occupancy
+    diffusion_constant = _positive_finite(diffusion_constant, "diffusion constant")
+    log_quad = -math.inf      # log 2/f0; without the quadrupolar channel, -inf
     if include_quadrupolar:
         if f0 is None:
+            occ = state.occupancy
             if not 0.0 < occ < 1.0:
                 raise MaterialError("quadrupolar channel needs partial occupancy")
             f0 = intrinsic_ratio(mat) / (occ * (1.0 - occ))
-    # both rates share the e^{-4(r-1)} hyperfine envelope, and in the
-    # quadrupolar one it cancels against the radial factor; evaluating the
-    # cancelled forms keeps the balance finite far outside the orbit
+        log_quad = _LOG_2 - math.log(_positive_finite(f0, "f0"))
     rate_bohr = _hyperfine_rate(1.0, state, b_field, mat)
-
-    def excess(r: np.ndarray) -> np.ndarray:
-        rate = rate_bohr * np.exp(-4.0 * (r - 1.0))
-        if include_quadrupolar:
-            s = screening_fraction(r)
-            rate = rate + rate_bohr * 2.0 * s * s / (f0 * r ** 4)
-        r_m = r * mat.bohr_radius
-        return rate * r_m * r_m - diffusion_constant
-
-    grid = np.geomspace(1e-3, 60.0, 600)
-    values = excess(grid)
-    crossings = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-    if crossings.size == 0 or values[crossings[-1]] <= 0.0:
-        # never crosses from relaxation-dominant to diffusion-dominant
+    if not rate_bohr > 0.0:
         return DiffusionRadius(value=None, has_solution=False)
-    left = crossings[-1]
-    # excess falls through zero on [grid[left], grid[left + 1]]
-    root = solve(lambda r: -excess(r), grid[left:left + 1], grid[left + 1:left + 2],
-                 what="diffusion radius", done=lambda r, f, lo, hi: hi - lo < 1e-6)
-    return DiffusionRadius(value=float(root[0]), has_solution=True)
+    log_0 = math.log(rate_bohr * mat.bohr_radius ** 2) - math.log(diffusion_constant)
+
+    def balance(u: float) -> tuple[float, float]:
+        """L and dL/du at r = e^u."""
+        r = math.exp(u)
+        log_s = log_screening_fraction(r)
+        hyper = 2.0 * u - 4.0 * (r - 1.0)       # log r^2 e^{-4(r-1)}
+        quad = log_quad + 2.0 * (log_s - u)     # log 2 s^2 / (f0 r^2)
+        total = max(hyper, quad) + math.log1p(math.exp(-abs(hyper - quad)))
+        # d/du of the channels: 2 - 4r, and 2 r s'/s - 2 with r s' = 4 r^3 e^{-2r}
+        slope = (math.exp(hyper - total) * (2.0 - 4.0 * r) + math.exp(quad - total)
+                 * (math.exp(3.0 * (u + _LOG_2) - 2.0 * r - log_s) - 2.0))
+        return log_0 + total, slope
+
+    peak = _last_positive(lambda u: balance(u)[1], -_LOG_2, _LOG_R_B)
+    if not balance(peak)[0] > 0.0:
+        return DiffusionRadius(value=None, has_solution=False)
+    # past far each channel is below D/2, as log r <= r - 1 and s <= 1
+    far = max(_LOG_R_B, math.log(1.0 + max(log_0 + _LOG_2, 0.0) / 2.0),
+              (log_0 + log_quad + _LOG_2) / 2.0)
+    root = _last_positive(lambda u: balance(u)[0], peak, far)
+    return DiffusionRadius(value=math.exp(root), has_solution=True)
 
 
 # --- excitation-power sweep --------------------------------------------------

@@ -61,7 +61,7 @@ def _worst_case_shift(r_m: float, b_field: float, mat: MaterialRecord) -> float:
 class SpinTemperatureLimit:
     eta: float      # m * T^(1/5)
     r_q: float      # spin-temperature radius at the given field, m
-    b_field: float  # field the solve was mapped to, T
+    b_field: float  # field r_q is given at, T
 
 
 def spin_temperature_eta(mat: MaterialRecord) -> float:

@@ -170,6 +170,19 @@ def test_verify_reports_documented_discrepancy(capsys):
     assert "documented discrepancy" in failing[0]
 
 
+def test_verify_runs_each_named_suite_once(capsys):
+    once = run_cli("verify", "--suite", "exact-oracles", "--suite", "reference-numbers",
+                   capsys=capsys)
+    twice = run_cli("verify", "--suite", "exact-oracles", "--suite", "reference-numbers",
+                    "--suite", "exact-oracles", "--suite", "reference-numbers",
+                    capsys=capsys)
+    assert twice == once
+    lines = once[1].splitlines()
+    assert lines[-1] == "== total: 34/35 passed"
+    suites = [line.split(":")[0] for line in lines if line.startswith("-- suite ")]
+    assert suites == ["-- suite exact-oracles", "-- suite reference-numbers"]
+
+
 def test_verify_suite_choices_match_checks():
     from donor_halo import checks
     assert cli.VERIFY_SUITES == tuple(sorted(checks.SUITES))
@@ -184,7 +197,9 @@ def test_verify_help_lists_suites(capsys):
 
 
 @pytest.mark.parametrize("argv", [["profile", "--seed", "1"],
-                                  ["validity", "--format", "report"]])
+                                  ["validity", "--format", "report"],
+                                  ["verify", "--material", "GaAs:As75"],
+                                  ["verify", "--set", "epsilon=12"]])
 def test_options_no_command_reads_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
@@ -476,8 +491,7 @@ def test_config_and_command_line_give_the_same_output(command, name, tmp_path, c
     config.write_text(f"{name} = {value}\n")
     from_line = run_cli_all(*base, *flag, capsys=capsys)
     assert run_cli_all(*base, "--config", str(config), capsys=capsys) == from_line
-    if (command, name) != ("verify", "material"):     # no suite reads the record
-        assert run_cli_all(*base, capsys=capsys) != from_line
+    assert run_cli_all(*base, capsys=capsys) != from_line
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -507,6 +521,9 @@ def test_config_flag_true_is_applied(tmp_path, capsys):
     ("profile", "seed = 1\n", "unknown material field: seed"),
     ("validity", "format = svg\n", "unknown material field: format"),
     ("profile", b"\xff\xfe\x00", "cannot read config "),
+    ("verify", "epsilon = 12\n", "unknown option of verify: epsilon"),
+    ("verify", "material = GaAs:Ga69\n", "unknown option of verify: material"),
+    ("materials", "epsilon = 12\n", "material overrides need --material"),
 ])
 def test_config_keys_are_never_ignored(command, text, message, tmp_path, capsys):
     config = tmp_path / "run.conf"
@@ -517,6 +534,13 @@ def test_config_keys_are_never_ignored(command, text, message, tmp_path, capsys)
     code, err = run_cli_err(command, "--config", str(config), capsys=capsys)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith(f"donor-halo: {message}")
+
+
+def test_materials_list_refuses_overrides(capsys):
+    # without --material there is no record for --set to change
+    code, err = run_cli_err("materials", "--set", "epsilon=12", capsys=capsys)
+    assert (code, err) == (2, "donor-halo: material overrides need --material; "
+                              "the registry list takes none\n")
 
 
 def test_verify_rejects_a_negative_seed(capsys):

@@ -7,6 +7,7 @@ from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, MaterialError, gamma_
                         get_material, invert_power, list_materials, occupancy,
                         power_closed_form, power_map, spectral_density,
                         state_for_occupancy, telegraph_correlation)
+from donor_halo import kinetics
 from donor_halo.kinetics import power_scale, telegraph_amplitude, telegraph_p_matrix
 from donor_halo.oracles import (power_map_residuals, spectral_density_quadrature,
                                 telegraph_correlation_conditionals,
@@ -214,6 +215,17 @@ def test_invert_power_rejects_power_below_the_bracket(gaas):
         invert_power(power, gaas)
     with pytest.raises(BracketError, match="below"):
         invert_power(np.array([power_scale(gaas), power]), gaas)
+
+
+def test_invert_power_raises_when_out_of_steps(gaas, monkeypatch):
+    # the bracket width stops both bisections long before MAX_STEPS; with
+    # three steps neither can stop, and both refuse instead of answering
+    monkeypatch.setattr(kinetics, "MAX_STEPS", 3)
+    power = 0.3 * power_scale(gaas)
+    with pytest.raises(BracketError, match="did not converge"):
+        invert_power(power, gaas)
+    with pytest.raises(BracketError, match="did not converge"):
+        invert_power(np.array([power, 2.0 * power]), gaas)
 
 
 def test_reference_power_inverts_to_half(gaas_zeta01):

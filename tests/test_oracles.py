@@ -20,12 +20,13 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from donor_halo import (Geometry, angular_factor, bq_local_field, compute_bq,
-                        get_material, nuclear_field, p_avg, profile,
-                        redfield_rate_analytic, telegraph_correlation)
+                        gamma_ceiling, get_material, list_materials, nuclear_field,
+                        p_avg, profile, redfield_rate_analytic, telegraph_correlation)
 from donor_halo.fields import screening_density
 from donor_halo.kinetics import telegraph_amplitude
 from donor_halo.oracles import (angular_factor_trace, bq_local_field_trace,
-                                p_avg_quadrature, redfield_rate_superoperator,
+                                p_avg_quadrature, power_map_residuals,
+                                redfield_rate_superoperator,
                                 screening_cdf_quadrature, spectral_density_quadrature,
                                 telegraph_correlation_conditionals,
                                 telegraph_p_matrix_expm)
@@ -92,6 +93,19 @@ def test_telegraph_correlation_matches_conditionals(occ, screening, log_tau_occ,
     assert type(closed) is float
     # measured against the zero-lag amplitude, as in the exact-oracles check
     assert abs(closed - oracle) <= 1e-12 * telegraph_amplitude(occ, screening)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(list_materials()), st.floats(-14.0, 0.0), st.booleans())
+def test_power_map_solves_the_balance_equations(name, log_gap, from_top):
+    # occupancies from 1e-14 to 1e-12 below the capture-limited ceiling,
+    # log-spaced away from either end
+    mat = get_material(name)
+    low, high = 1e-14, gamma_ceiling(mat) - 1e-12
+    gap = 10.0 ** log_gap * (high - low)
+    gamma_t = high - gap if from_top else low + gap
+    residuals = power_map_residuals(gamma_t, mat)
+    assert residuals["trapping"] <= 1e-8 and residuals["generation"] <= 1e-8, residuals
 
 
 # --- the numpy routes against scipy ------------------------------------------

@@ -3,14 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import lambertw
 
-from donor_halo import (MaterialError, calibrate_diffusion, diffusion_radius,
-                        half_polarization_radius, nuclear_field, p_avg, p_point,
-                        power_sweep, profile, quadrupolar_radius, radius_sweep,
+from donor_halo import (Geometry, MaterialError, calibrate_diffusion, diffusion_radius,
+                        get_material, half_polarization_radius, intrinsic_ratio,
+                        list_materials, nuclear_field, p_avg, p_point, power_sweep,
+                        profile, quadrupolar_radius, radius_sweep, rates,
                         screening_fraction, state_for_occupancy)
 from donor_halo.kinetics import power_scale
 from donor_halo.oracles import p_avg_quadrature
-from donor_halo.polarization import FIELD_INTEGRAL_UPPER, RHO_D_REFERENCE
+from donor_halo.polarization import FIELD_INTEGRAL_UPPER, R_B, RHO_D_REFERENCE
 from donor_halo.relaxation import radial_profile
 
 
@@ -172,6 +176,18 @@ def test_nuclear_field_tail_ratio(gaas, f0, ratio):
     assert field.b_n_exact / field.b_n_step == pytest.approx(ratio, abs=0.01)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(-8.0, 6.0), st.floats(-8.0, 6.0))
+def test_nuclear_field_never_falls_as_f0_grows(gaas, log_f0_a, log_f0_b):
+    # a larger competition amplitude favours the polarizing hyperfine
+    # channel at every r, so neither field estimate can fall
+    grid = np.array([0.5])
+    weaker, stronger = (nuclear_field(profile(10.0 ** e, grid), gaas)
+                        for e in sorted((log_f0_a, log_f0_b)))
+    assert stronger.b_n_exact >= weaker.b_n_exact
+    assert stronger.b_n_step >= weaker.b_n_step
+
+
 def test_nuclear_field_diffusion_cap(gaas):
     prof = profile(1.0, np.linspace(0.1, 2.0, 8), rho_d=0.8)
     capped = nuclear_field(prof, gaas)
@@ -205,10 +221,11 @@ def test_diffusion_radius_no_solution(gaas):
     swamped = diffusion_radius(state, 0.1, d * 1e6, gaas, include_quadrupolar=False)
     assert not swamped.has_solution
     assert swamped.value is None
+    # an empty donor has no hyperfine relaxation to balance diffusion with
+    empty = state_for_occupancy(0.0, gaas)
+    assert diffusion_radius(empty, 0.1, d, gaas, include_quadrupolar=False) == (None, False)
 
 
-@pytest.mark.xfail(strict=True, reason="the sign-change scan stops at 60 a0*, and at D/10 "
-                   "the outermost crossing lies between 81 and 82 a0*")
 def test_diffusion_radius_moves_outward_as_diffusion_weakens(gaas):
     # weaker spin diffusion (smaller D) can only push the outermost balance
     # point outward, and cannot remove it
@@ -219,6 +236,80 @@ def test_diffusion_radius_moves_outward_as_diffusion_weakens(gaas):
         if stronger.has_solution:
             assert weaker.has_solution
             assert weaker.value >= stronger.value
+
+
+def test_r_b_solves_its_defining_equation():
+    # s(r)^2 / r^2 peaks where r s'(r) = 4 r^3 e^{-2r} equals s(r)
+    def excess(r):
+        return 4.0 * r ** 3 * math.exp(-2.0 * r) - screening_fraction(r)
+
+    lo, hi = 1.0, 3.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    assert abs(R_B - lo) <= 1e-15 * lo
+
+
+#: records with a hyperfine field, the ones a diffusion balance exists for
+HYPERFINE_RECORDS = [name for name in list_materials()
+                     if get_material(name).hyperfine_field_bohr is not None]
+
+
+def _hyperfine_rate_at_bohr(state, b_field, mat):
+    return rates(1.0, Geometry(), state, b_field, mat).inv_t1h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(HYPERFINE_RECORDS), st.floats(0.05, 0.95), st.floats(-8.0, 8.0))
+def test_diffusion_radius_without_quadrupolar_is_lambert_w(name, occ, log_scale):
+    # r^2 e^{-4(r-1)} = q^2 with q^2 = D / (Gamma_1 a0*^2): the outer root
+    # is r = -W_{-1}(-2 q e^{-2}) / 2, and none exists past q = e/2
+    mat = get_material(name)
+    state = state_for_occupancy(occ, mat)
+    d = calibrate_diffusion(state, 0.1, mat) * 10.0 ** log_scale
+    q = math.sqrt(d / (_hyperfine_rate_at_bohr(state, 0.1, mat) * mat.bohr_radius ** 2))
+    root = diffusion_radius(state, 0.1, d, mat, include_quadrupolar=False)
+    argument = -2.0 * q * math.exp(-2.0)
+    assert root.has_solution == (argument >= -math.exp(-1.0))
+    if root.has_solution:
+        exact = -lambertw(argument, k=-1).real / 2.0
+        assert abs(root.value - exact) <= 1e-12 * exact
+
+
+def _scanned_diffusion_radius(state, b_field, d, mat, f0):
+    """Outermost sign change of the rate balance on a dense log grid.
+
+    Returns the grid cell [r_i, r_i+1] that holds it, or None where the
+    balance is nowhere positive on the grid.  f0 = None leaves the
+    quadrupolar channel out.
+    """
+    grid = np.geomspace(1e-3, 1e12, 30001)
+    rate = np.exp(-4.0 * (grid - 1.0))
+    if f0 is not None:
+        rate = rate + 2.0 * screening_fraction(grid) ** 2 / (f0 * grid ** 4)
+    excess = _hyperfine_rate_at_bohr(state, b_field, mat) * rate \
+        * (grid * mat.bohr_radius) ** 2 - d
+    positive = np.flatnonzero(excess > 0.0)
+    if positive.size == 0:
+        return None
+    last = positive[-1]
+    return grid[last], grid[last + 1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(HYPERFINE_RECORDS), st.floats(0.05, 0.95), st.floats(-8.0, 8.0),
+       st.sampled_from(["off", "state", "override"]), st.floats(-8.0, 8.0))
+def test_diffusion_radius_matches_a_dense_scan(name, occ, log_scale, mode, log_f0):
+    mat = get_material(name)
+    state = state_for_occupancy(occ, mat)
+    d = calibrate_diffusion(state, 0.1, mat) * 10.0 ** log_scale
+    f0 = {"off": None, "state": intrinsic_ratio(mat) / (occ * (1.0 - occ)),
+          "override": 10.0 ** log_f0}[mode]
+    root = diffusion_radius(state, 0.1, d, mat, include_quadrupolar=mode != "off",
+                            f0=f0 if mode == "override" else None)
+    cell = _scanned_diffusion_radius(state, 0.1, d, mat, f0)
+    assert root.has_solution == (cell is not None)
+    if cell is not None:
+        assert cell[0] * (1.0 - 1e-12) <= root.value <= cell[1] * (1.0 + 1e-12), cell
 
 
 def test_field_reduction_ratio(gaas):
