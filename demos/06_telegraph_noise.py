@@ -4,18 +4,19 @@
 Trapping and recombination toggle the donor between two charge states,
 so the fractional field modulation h(t) is a two-state Markov process:
 zero mean, exponential memory with rate 1/tau_occupied + 1/tau_empty,
-and zero-lag variance occ(1-occ) s^2 / (1 - s occ)^2.  A direct
+and zero-lag variance occ(1-occ) s^2 / (1 - s occ)^2, where the two
+dwell times fix occ = tau_occupied / (tau_occupied + tau_empty).  A direct
 stochastic simulation reproduces all three properties.
 """
 
 from donor_halo import simulate_telegraph
-from donor_halo.kinetics import telegraph_amplitude, telegraph_correlation
+from donor_halo.kinetics import dwell_occupancy, telegraph_amplitude, telegraph_correlation
 
-OCC, SCREEN = 0.4, 0.3233          # occupancy and screening at one Bohr radius
+SCREEN = 0.3233                    # screening at one Bohr radius
 TAU_OCC, TAU_EMPTY = 1.0, 1.5      # dwell times (arbitrary units)
+OCC = dwell_occupancy(TAU_OCC, TAU_EMPTY)    # the occupancy they fix, 0.4
 
-est = simulate_telegraph(OCC, SCREEN, TAU_OCC, TAU_EMPTY,
-                         n_dwell=400_000, seed=2026)
+est = simulate_telegraph(SCREEN, TAU_OCC, TAU_EMPTY, n_dwell=400_000, seed=2026)
 exact_rate = 1.0 / TAU_OCC + 1.0 / TAU_EMPTY
 exact_amp = telegraph_amplitude(OCC, SCREEN)
 
@@ -27,7 +28,7 @@ print()
 print(f"{'lag':>6} {'simulated':>11} {'exact':>11} {'pull (sigma)':>12}")
 for k in range(0, 16, 3):
     lag = est.lag_times[k]
-    exact = telegraph_correlation(lag, OCC, SCREEN, TAU_OCC, TAU_EMPTY)
+    exact = telegraph_correlation(lag, SCREEN, TAU_OCC, TAU_EMPTY)
     pull = (est.acf[k] - exact) / est.acf_se[k] if est.acf_se[k] > 0 else 0.0
     print(f"{lag:>6.2f} {est.acf[k]:>11.6f} {exact:>11.6f} {pull:>12.2f}")
 

@@ -60,6 +60,8 @@ def _rel(a: float, b: float) -> float:
 # --------------------------------------------------------------------------
 
 _SPINS = (0.5, 1.5, 2.5, 4.5)
+#: enclosed-charge fraction at the Bohr radius, the telegraph checks' modulation depth
+_SCREEN_BOHR = fields.screening_fraction(1.0)
 
 
 def _check_k_factors() -> tuple[bool, str]:
@@ -144,17 +146,16 @@ def _check_sphere_average() -> tuple[bool, str]:
 def _check_telegraph_conditionals() -> tuple[bool, str]:
     worst_p = 0.0
     worst_g = 0.0
-    s = 0.3233235838169365
     for occ in (0.2, 0.5, 0.8):
         tau_occ = 1.3e-9
         tau_empty = tau_occ * (1.0 - occ) / occ
-        amplitude = kinetics.telegraph_amplitude(occ, s)
+        amplitude = kinetics.telegraph_amplitude(occ, _SCREEN_BOHR)
         for tau in (0.0, 0.3e-9, 1.1e-9, 5.0e-9):
             closed = kinetics.telegraph_p_matrix(tau, tau_occ, tau_empty)
             oracle = oracles.telegraph_p_matrix_expm(tau, tau_occ, tau_empty)
             worst_p = max(worst_p, float(np.abs(closed - oracle).max()))
-            g = kinetics.telegraph_correlation(tau, occ, s, tau_occ, tau_empty)
-            recon = oracles.telegraph_correlation_conditionals(tau, occ, s, tau_occ,
+            g = kinetics.telegraph_correlation(tau, _SCREEN_BOHR, tau_occ, tau_empty)
+            recon = oracles.telegraph_correlation_conditionals(tau, _SCREEN_BOHR, tau_occ,
                                                                tau_empty)
             # deviation measured against the zero-lag amplitude so deep in
             # the exponential tail rounding noise does not dominate
@@ -304,14 +305,12 @@ MIN_DWELL = 128
 
 
 def telegraph_mc_suite(seed: int = 20260810, n_dwell: int = 1_000_000) -> list[CheckResult]:
-    s = 0.3233235838169365
-
     def run_mc() -> tuple[bool, str]:
         occ, tau_occ, tau_empty = 0.5, 1.0, 1.0
-        est = kinetics.simulate_telegraph(occ, s, tau_occ, tau_empty,
+        est = kinetics.simulate_telegraph(_SCREEN_BOHR, tau_occ, tau_empty,
                                           n_dwell=n_dwell, seed=seed)
         exact_rate = 1.0 / tau_occ + 1.0 / tau_empty
-        exact_amp = kinetics.telegraph_amplitude(occ, s)
+        exact_amp = kinetics.telegraph_amplitude(occ, _SCREEN_BOHR)
         rate_err = abs(est.decay_rate - exact_rate) / exact_rate
         amp_dev = abs(est.amplitude - exact_amp)
         amp_ok = amp_dev <= 3.0 * est.acf_se[0] + 1e-12
@@ -327,11 +326,10 @@ def telegraph_mc_suite(seed: int = 20260810, n_dwell: int = 1_000_000) -> list[C
                     f"all lags within 3 sigma: {lags_ok}")
 
     def run_mc_asym() -> tuple[bool, str]:
-        occ = 0.25
-        est = kinetics.simulate_telegraph(occ, s, 1.0, 3.0,
+        est = kinetics.simulate_telegraph(_SCREEN_BOHR, 1.0, 3.0,
                                           n_dwell=max(n_dwell // 5, 10_000), seed=seed + 1)
         exact_rate = 1.0 + 1.0 / 3.0
-        exact_amp = kinetics.telegraph_amplitude(occ, s)
+        exact_amp = kinetics.telegraph_amplitude(0.25, _SCREEN_BOHR)
         rate_err = abs(est.decay_rate - exact_rate) / exact_rate
         amp_ok = abs(est.amplitude - exact_amp) <= 3.0 * est.acf_se[0] + 1e-12
         ok = rate_err <= 0.05 and amp_ok
@@ -400,7 +398,7 @@ def reference_number_suite() -> list[CheckResult]:
         d = polarization.calibrate_diffusion(state, 0.1, mat)
         root = polarization.diffusion_radius(state, 0.1, d, mat,
                                              include_quadrupolar=False)
-        ok = root.has_solution and abs(root.value - 1.4) <= 1e-5
+        ok = root.has_solution and abs(root.value - polarization.RHO_D_REFERENCE) <= 1e-5
         return ok, f"no-quadrupolar balance radius = {root.value} (calibrated target 1.4)"
 
     def diffusion_quad_modified() -> tuple[bool, str]:
@@ -416,7 +414,8 @@ def reference_number_suite() -> list[CheckResult]:
 
     def field_reduction_ratio() -> tuple[bool, str]:
         rho_q = polarization.quadrupolar_radius(1e-2)
-        ratio = fields.screening_fraction(1.4) / fields.screening_fraction(rho_q)
+        ratio = (fields.screening_fraction(polarization.RHO_D_REFERENCE)
+                 / fields.screening_fraction(rho_q))
         return _within(ratio, 10.0, 20.0, "s(rho_d)/s(rho_q)")
 
     def sweep_checks() -> list[Check]:
@@ -527,7 +526,6 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
         return ok, f"strictly increasing over {grid.size} occupancies"
 
     def correlation_shape() -> tuple[bool, str]:
-        s = 0.3233235838169365
         positive = np.linspace(0.25e-9, 5e-9, 20)
         ok = True
         for occ in (0.2, 0.5, 0.9):
@@ -535,7 +533,7 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
             tau_empty = tau_occ * (1 - occ) / occ
 
             def g_of(t: float) -> float:
-                return kinetics.telegraph_correlation(t, occ, s, tau_occ, tau_empty)
+                return kinetics.telegraph_correlation(t, _SCREEN_BOHR, tau_occ, tau_empty)
 
             g0 = g_of(0.0)
             for t in positive:
@@ -610,12 +608,11 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
         return ok, "parallel <= average <= perpendicular, all strictly decreasing"
 
     def mc_convergence() -> tuple[bool, str]:
-        s = 0.3233235838169365
-        exact = kinetics.telegraph_amplitude(0.25, s)
+        exact = kinetics.telegraph_amplitude(0.25, _SCREEN_BOHR)
         errs = {}
         for n in (16_000, 256_000):
             # the amplitude is the lag-0 estimate, the same at any n_lags
-            runs = [kinetics.simulate_telegraph(0.25, s, 1.0, 3.0, n_dwell=n,
+            runs = [kinetics.simulate_telegraph(_SCREEN_BOHR, 1.0, 3.0, n_dwell=n,
                                                 seed=seed + k, n_lags=4).amplitude
                     for k in range(8)]
             errs[n] = float(np.mean([abs(a - exact) for a in runs]))

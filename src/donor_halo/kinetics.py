@@ -1,11 +1,12 @@
 """Donor occupancy, telegraph-noise statistics, and the excitation-power map.
 
 Photoelectron trapping and recombination make the donor charge state a
-two-state Markov (telegraph) process.  This module carries the
-steady-state occupancy and correlation times, the exact two-state
-correlation function together with a Monte Carlo estimator for it, the
-Lorentzian spectral density, and the steady-state carrier balance
-linking donor occupancy to the excitation power density.  The
+two-state Markov (telegraph) process, fixed by its two dwell times: the
+occupancy is tau_occupied / (tau_occupied + tau_empty).  This module
+carries the steady-state occupancy and correlation times, the exact
+two-state correlation function together with a Monte Carlo estimator for
+it, the Lorentzian spectral density, and the steady-state carrier
+balance linking donor occupancy to the excitation power density.  The
 matrix-exponential and Fourier-quadrature oracles live in
 :mod:`donor_halo.oracles`.
 
@@ -44,34 +45,24 @@ class KineticState:
     degenerate: bool = False  # True when free_density = 0 (no exchange channel)
 
 
-def occupancy(free_density: float, mat: MaterialRecord, *,
-              spin_lattice_time: float | None = None,
-              exchange_time: float | None = None) -> KineticState:
+def occupancy(free_density: float, mat: MaterialRecord) -> KineticState:
     """Kinetic state for a given free-electron density.
 
     The donor occupancy follows from balancing capture against
     recombination; the quadrupolar correlation time combines the
     recombination and capture lifetimes.  The hyperfine correlation time
-    defaults to the spin-exchange limit 1/(sigma_exchange * v * n_f);
-    pass spin_lattice_time and/or exchange_time to use the full
-    combination 1/(2 tau_r) + 1/T1 + 1/tau_ex instead.
+    is the spin-exchange time 1/(sigma_exchange * v * n_f), infinite at
+    n_f = 0.
     """
-    if free_density < 0.0:
-        raise MaterialError("free-electron density must be non-negative")
+    # written so that NaN fails too
+    if not 0.0 <= free_density < math.inf:
+        raise MaterialError("free-electron density must be non-negative and finite")
     tau_r = mat.recombination_time
     capture_rate = mat.sigma_capture * mat.velocity * free_density
     gamma_t = capture_rate * tau_r / (1.0 + capture_rate * tau_r)
     tau_quad = 1.0 / (1.0 / tau_r + capture_rate)
-    if spin_lattice_time is None and exchange_time is None:
-        exchange_rate = mat.sigma_exchange * mat.velocity * free_density
-        tau_hyper = 1.0 / exchange_rate if exchange_rate > 0.0 else math.inf
-    else:
-        rate = 0.5 / tau_r
-        if spin_lattice_time is not None:
-            rate += 1.0 / spin_lattice_time
-        if exchange_time is not None:
-            rate += 1.0 / exchange_time
-        tau_hyper = 1.0 / rate
+    exchange_rate = mat.sigma_exchange * mat.velocity * free_density
+    tau_hyper = 1.0 / exchange_rate if exchange_rate > 0.0 else math.inf
     return KineticState(
         occupancy=gamma_t,
         free_density=free_density,
@@ -116,6 +107,18 @@ def telegraph_amplitude(occ: float, screening: float) -> float:
     return (1.0 - occ) * h_empty ** 2 + occ * h_occ ** 2
 
 
+def dwell_occupancy(tau_occupied: float, tau_empty: float) -> float:
+    """Stationary occupancy tau_occupied / (tau_occupied + tau_empty).
+
+    The two dwell times fix the telegraph process completely; this is the
+    fraction of time it spends occupied.
+    """
+    # written so that NaN fails too
+    if not (0.0 < tau_occupied < math.inf and 0.0 < tau_empty < math.inf):
+        raise MaterialError("dwell times must be positive and finite")
+    return tau_occupied / (tau_occupied + tau_empty)
+
+
 def telegraph_p_matrix(tau: float, tau_occupied: float, tau_empty: float) -> np.ndarray:
     """Closed-form conditional probabilities of the two-state process.
 
@@ -124,38 +127,16 @@ def telegraph_p_matrix(tau: float, tau_occupied: float, tau_empty: float) -> np.
     the stationary weights (1-occ, occ) at total rate
     1/tau_occupied + 1/tau_empty.
     """
-    if min(tau_occupied, tau_empty) <= 0.0:
-        raise MaterialError("dwell times must be positive")
-    occ = tau_occupied / (tau_occupied + tau_empty)
+    occ = dwell_occupancy(tau_occupied, tau_empty)
     stationary = np.array([1.0 - occ, occ])
     decay = math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
     return stationary[None, :] + (np.eye(2) - stationary[None, :]) * decay
 
 
-#: relative mismatch allowed between a given occupancy and the one its
-#: dwell times imply
-_OCCUPANCY_RTOL = 1e-9
-
-
-def _require_consistent(occ: float, tau_occupied: float, tau_empty: float) -> None:
-    """MaterialError unless occ matches tau_occupied/(tau_occupied+tau_empty)."""
-    if min(tau_occupied, tau_empty) <= 0.0:
-        raise MaterialError("dwell times must be positive")
-    implied = tau_occupied / (tau_occupied + tau_empty)
-    if abs(implied - occ) > _OCCUPANCY_RTOL * max(occ, implied, 1e-300):
-        raise MaterialError(
-            f"inconsistent occupancy: given {occ}, dwell times imply {implied}"
-        )
-
-
-def telegraph_correlation(tau: float, occ: float, screening: float,
+def telegraph_correlation(tau: float, screening: float,
                           tau_occupied: float, tau_empty: float) -> float:
-    """Exact autocorrelation of the field modulation at lag tau.
-
-    The supplied occupancy must match tau_occupied/(tau_occupied+tau_empty).
-    """
-    _require_consistent(occ, tau_occupied, tau_empty)
-    amplitude = telegraph_amplitude(occ, screening)
+    """Exact autocorrelation of the field modulation at lag tau."""
+    amplitude = telegraph_amplitude(dwell_occupancy(tau_occupied, tau_empty), screening)
     return amplitude * math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
 
 
@@ -256,17 +237,17 @@ def _ones_below(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words[bounds >> 6] & low_bits).astype(np.int64)
 
 
-def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
-                       tau_empty: float, n_dwell: int, seed: int,
-                       n_lags: int = 32, samples_per_dwell: float = 5.0,
-                       n_blocks: int = 64) -> TelegraphEstimate:
+def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
+                       n_dwell: int, seed: int, n_lags: int = 32,
+                       samples_per_dwell: float = 5.0, n_blocks: int = 64) -> TelegraphEstimate:
     """Simulate the two-state modulation and estimate its autocorrelation.
 
     Draws n_dwell exponential dwell intervals (alternating states, the
-    first chosen from the stationary law), samples the modulation on a
-    uniform grid of spacing min(tau)/samples_per_dwell, and returns the
-    empirical autocorrelation with blocked standard errors plus a
-    log-linear fit of the decay rate.
+    first occupied with the stationary probability tau_occupied /
+    (tau_occupied + tau_empty)), samples the modulation on a uniform grid
+    of spacing min(tau)/samples_per_dwell, and returns the empirical
+    autocorrelation with blocked standard errors plus a log-linear fit of
+    the decay rate.
 
     The modulation takes only the values h_empty and h_occupied, so the
     estimator counts samples instead of multiplying them: for every lag k
@@ -291,10 +272,11 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
     prefix per word: under 3 bytes per dwell at its peak for 1e6 dwells
     at 5 samples per dwell.
 
-    Raises MaterialError when the samples cannot fill the blocks, when
-    the grid passes 2**62 samples or its packed words cannot be allocated,
-    or when the acf within the fit window is not positive (too few samples
-    per correlation time), so the decay fit would take the log of it.
+    Raises MaterialError when a dwell time is not positive and finite,
+    when the samples cannot fill the blocks, when the grid passes 2**62
+    samples or its packed words cannot be allocated, or when the acf
+    within the fit window is not positive (too few samples per
+    correlation time), so the decay fit would take the log of it.
     """
     if n_dwell < MIN_DWELL:
         raise MaterialError(f"need at least {MIN_DWELL} dwell events")
@@ -307,7 +289,7 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
             f"samples per dwell must be finite and positive, got {samples_per_dwell}")
     if not 0.0 < screening < 1.0:
         raise MaterialError("simulation needs a nonzero modulation depth")
-    _require_consistent(occ, tau_occupied, tau_empty)
+    occ = dwell_occupancy(tau_occupied, tau_empty)
     rng = np.random.default_rng(seed)
     first_occupied = bool(rng.random() < occ)
     # the state sequence alternates, so dwell means alternate too;
@@ -432,7 +414,7 @@ def simulate_telegraph(occ: float, screening: float, tau_occupied: float,
 
 def spectral_density(omega: float, amplitude: float, tau_c: float) -> float:
     """Lorentzian spectral density 2 * amplitude * tau_c / (1 + omega^2 tau_c^2)."""
-    if tau_c <= 0.0:
+    if not tau_c > 0.0:         # written so that NaN fails too
         raise MaterialError("correlation time must be positive")
     x = omega * tau_c     # x * x, unlike x ** 2, overflows to inf and J to 0
     return 2.0 * amplitude * tau_c / (1.0 + x * x)

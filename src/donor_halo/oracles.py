@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MaterialError, NumericalError
 from .fields import (EfgComponents, Geometry, donor_field, rotation_to_field_frame,
                      screening_density)
-from .kinetics import power_map, telegraph_p_matrix, telegraph_values
+from .kinetics import dwell_occupancy, power_map, telegraph_p_matrix, telegraph_values
 from .materials import HBAR, MaterialRecord
 from .numerics import gauss_legendre
 from .polarization import p_avg
@@ -120,9 +120,10 @@ def telegraph_p_matrix_expm(tau: float, tau_occupied: float, tau_empty: float) -
     return (vectors * np.exp(values)) @ np.linalg.inv(vectors)
 
 
-def telegraph_correlation_conditionals(tau: float, occ: float, screening: float,
+def telegraph_correlation_conditionals(tau: float, screening: float,
                                        tau_occupied: float, tau_empty: float) -> float:
     """Oracle for ``kinetics.telegraph_correlation``: sum_ab h_a w_a h_b P_ab(tau)."""
+    occ = dwell_occupancy(tau_occupied, tau_empty)
     h = np.array(telegraph_values(occ, screening))        # [empty, occupied]
     w = np.array([1.0 - occ, occ])
     p = telegraph_p_matrix(tau, tau_occupied, tau_empty)

@@ -21,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaterialError
+from .errors import MaterialError, NumericalError
 from .fields import (Geometry, log_screening_fraction, screening_density,
                      screening_fraction)
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
                        power_map, power_scale)
 from .materials import MaterialRecord
 from .numerics import as_operand, gauss_legendre
-from .relaxation import (intrinsic_ratio, log_radial_profile, radial_profile_inverse,
-                         rates)
+from .relaxation import (_LOG_FLOAT_MAX, intrinsic_ratio, log_radial_profile,
+                         radial_profile_inverse, rates)
 
 #: no-quadrupolar spin-diffusion radius, in a0* units; the diffusion
 #: constant is calibrated so the rate/diffusion balance crosses here
@@ -260,7 +260,8 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     L rises below r = 1/2, falls past R_B, and has one maximum between,
     found by bisecting the sign of dL/du; the value is None exactly when
     L <= 0 there.  Otherwise the root is bisected between the maximum and
-    a closed-form end past which each channel is below D/2.
+    a closed-form end past which each channel is below D/2; a root past
+    the largest float raises NumericalError.
     """
     diffusion_constant = _positive_finite(diffusion_constant, "diffusion constant")
     log_quad = -math.inf      # log 2/f0; without the quadrupolar channel, -inf
@@ -294,7 +295,9 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     # past far each channel is below D/2, as log r <= r - 1 and s <= 1
     far = max(_LOG_R_B, math.log(1.0 + max(log_0 + _LOG_2, 0.0) / 2.0),
               (log_0 + log_quad + _LOG_2) / 2.0)
-    root = _last_positive(lambda u: balance(u)[0], peak, far)
+    if far > _LOG_FLOAT_MAX and balance(_LOG_FLOAT_MAX)[0] > 0.0:
+        raise NumericalError(f"diffusion radius lies past {sys.float_info.max:g} a0*")
+    root = _last_positive(lambda u: balance(u)[0], peak, min(far, _LOG_FLOAT_MAX))
     return DiffusionRadius(value=math.exp(root), has_solution=True)
 
 

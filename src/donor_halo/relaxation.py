@@ -51,20 +51,15 @@ class CompetitionFactors:
 
 
 def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
-          mat: MaterialRecord, *, nuclear_field: float = 0.0,
-          electron_spin_sign: int = +1) -> RateBundle:
+          mat: MaterialRecord) -> RateBundle:
     """Relaxation rates at reduced distance r for one kinetic state.
 
     The quadrupolar rate is proportional to occ(1-occ) and to the square
     of the modulated field amplitude b_q E_off s(r); the hyperfine rate
     is proportional to occ and the square of the instant hyperfine
-    field.  nuclear_field shifts the electron flip-flop frequency by
-    +/- gamma_e B_n according to electron_spin_sign; the default ignores
-    that feedback.
+    field, at the electron flip-flop frequency gamma_e B.
     """
-    if electron_spin_sign not in (+1, -1):
-        raise MaterialError("electron_spin_sign must be +1 or -1")
-    if b_field < 0.0:
+    if not b_field >= 0.0:      # written so that NaN fails too
         raise MaterialError("b_field must be non-negative")
     occ = state.occupancy
     point = donor_field(r, occ, mat)
@@ -78,7 +73,7 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
         k1 * spectral_density(omega_1, 1.0, state.tau_quad)
         + k2 * spectral_density(omega_2, 1.0, state.tau_quad)
     )
-    omega_h = mat.gamma_e * (b_field + electron_spin_sign * nuclear_field)
+    omega_h = mat.gamma_e * b_field
     b_e = hyperfine_field_instant(r, mat)
     if math.isinf(state.tau_hyper):
         inv_t1h = 0.0

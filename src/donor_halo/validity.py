@@ -121,7 +121,7 @@ class MotionalRegime:
 def motional_regime(b_field: float, state: KineticState,
                     mat: MaterialRecord) -> MotionalRegime:
     """Products omega * tau_c for the three fluctuation channels."""
-    if b_field < 0.0:
+    if not b_field >= 0.0:      # written so that NaN fails too
         raise MaterialError("b_field must be non-negative")
     w1 = mat.gamma * b_field * state.tau_quad
     wh = 0.0 if math.isinf(state.tau_hyper) else mat.gamma_e * b_field * state.tau_hyper

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, MaterialError, gamma_ceiling,
-                        get_material, invert_power, list_materials, occupancy,
-                        power_closed_form, power_map, spectral_density,
-                        state_for_occupancy, telegraph_correlation)
+from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, Geometry, MaterialError,
+                        gamma_ceiling, get_material, invert_power, list_materials,
+                        motional_regime, occupancy, power_closed_form, power_map, rates,
+                        simulate_telegraph, spectral_density, state_for_occupancy,
+                        telegraph_correlation)
 from donor_halo import kinetics
 from donor_halo.kinetics import power_scale, telegraph_amplitude, telegraph_p_matrix
 from donor_halo.oracles import (power_map_residuals, spectral_density_quadrature,
@@ -40,18 +41,14 @@ def test_occupancy_limits(gaas):
     assert math.isinf(idle.tau_hyper)
     with pytest.raises(MaterialError):
         occupancy(-1.0, gaas)
+    with pytest.raises(MaterialError):
+        occupancy(math.inf, gaas)
 
 
 def test_hyperfine_correlation_time_golden(gaas):
     state = occupancy(1e21, gaas)
     direct = 1.0 / (gaas.sigma_exchange * gaas.velocity * 1e21)
     assert state.tau_hyper == pytest.approx(direct, rel=1e-14)
-
-
-def test_full_hyperfine_rate_combination(gaas):
-    state = occupancy(1e21, gaas, spin_lattice_time=5e-9, exchange_time=2e-12)
-    expected = 1.0 / (0.5 / gaas.recombination_time + 1.0 / 5e-9 + 1.0 / 2e-12)
-    assert state.tau_hyper == pytest.approx(expected, rel=1e-14)
 
 
 def test_state_for_occupancy_round_trip(gaas):
@@ -95,15 +92,42 @@ def test_correlation_reconstruction():
     tau_occ, tau_empty = 0.9e-9, 0.9e-9 * (1 - occ) / occ
     amplitude = telegraph_amplitude(occ, SCREEN_BOHR)
     for tau in (0.0, 0.4e-9, 2.2e-9):
-        direct = telegraph_correlation(tau, occ, SCREEN_BOHR, tau_occ, tau_empty)
-        recon = telegraph_correlation_conditionals(tau, occ, SCREEN_BOHR, tau_occ,
-                                                   tau_empty)
+        direct = telegraph_correlation(tau, SCREEN_BOHR, tau_occ, tau_empty)
+        recon = telegraph_correlation_conditionals(tau, SCREEN_BOHR, tau_occ, tau_empty)
         assert abs(direct - recon) <= 1e-12 * amplitude
 
 
-def test_correlation_requires_consistent_dwells():
-    with pytest.raises(MaterialError, match="inconsistent occupancy"):
-        telegraph_correlation(0.0, 0.4, 0.3, 1e-9, 1e-9)
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda tau_occ, tau_empty: telegraph_p_matrix(0.0, tau_occ, tau_empty),
+    lambda tau_occ, tau_empty: telegraph_correlation(0.0, SCREEN_BOHR, tau_occ, tau_empty),
+    lambda tau_occ, tau_empty: simulate_telegraph(SCREEN_BOHR, tau_occ, tau_empty,
+                                                  n_dwell=1000, seed=1),
+], ids=["p_matrix", "correlation", "simulate"])
+def test_telegraph_refuses_a_dwell_time_not_positive_and_finite(call, bad):
+    for tau_occ, tau_empty in ((bad, 1e-9), (1e-9, bad)):
+        with pytest.raises(MaterialError, match="dwell times must be positive and finite"):
+            call(tau_occ, tau_empty)
+
+
+def test_telegraph_occupancy_is_fixed_by_the_dwell_times():
+    assert kinetics.dwell_occupancy(1.0, 1.5) == 0.4
+    assert kinetics.dwell_occupancy(1.0, 3.0) == 0.25
+    stationary = telegraph_p_matrix(math.inf, 1.0, 3.0)[0]
+    assert stationary.tolist() == [0.75, 0.25]
+    assert telegraph_correlation(0.0, SCREEN_BOHR, 1.0, 3.0) \
+        == telegraph_amplitude(0.25, SCREEN_BOHR)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mat, state: occupancy(math.nan, mat),
+    lambda mat, state: spectral_density(1.0, 1.0, math.nan),
+    lambda mat, state: rates(1.0, Geometry(), state, math.nan, mat),
+    lambda mat, state: motional_regime(math.nan, state, mat),
+], ids=["occupancy", "spectral_density", "rates", "motional_regime"])
+def test_guards_refuse_nan(call, gaas):
+    with pytest.raises(MaterialError):
+        call(gaas, state_for_occupancy(0.5, gaas))
 
 
 def test_spectral_density_closed_form():

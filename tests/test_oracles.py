@@ -14,6 +14,7 @@ only.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -28,10 +29,12 @@ from donor_halo.oracles import (angular_factor_trace, bq_local_field_trace,
                                 p_avg_quadrature, power_map_residuals,
                                 redfield_rate_superoperator,
                                 screening_cdf_quadrature, spectral_density_quadrature,
+                                spin_temperature_eta_bisection,
                                 telegraph_correlation_conditionals,
                                 telegraph_p_matrix_expm)
 from donor_halo.polarization import FIELD_INTEGRAL_UPPER
 from donor_halo.relaxation import radial_profile
+from donor_halo.validity import spin_temperature_eta
 
 QUADRUPOLAR_SPINS = st.sampled_from([1.0, 1.5, 2.5, 4.5])
 THETA = st.floats(0.0, math.pi)
@@ -88,8 +91,8 @@ def test_telegraph_correlation_matches_conditionals(occ, screening, log_tau_occ,
     tau_occ = 10.0 ** log_tau_occ
     tau_empty = tau_occ * (1.0 - occ) / occ
     occ = tau_occ / (tau_occ + tau_empty)
-    closed = telegraph_correlation(lag, occ, screening, tau_occ, tau_empty)
-    oracle = telegraph_correlation_conditionals(lag, occ, screening, tau_occ, tau_empty)
+    closed = telegraph_correlation(lag, screening, tau_occ, tau_empty)
+    oracle = telegraph_correlation_conditionals(lag, screening, tau_occ, tau_empty)
     assert type(closed) is float
     # measured against the zero-lag amplitude, as in the exact-oracles check
     assert abs(closed - oracle) <= 1e-12 * telegraph_amplitude(occ, screening)
@@ -117,6 +120,17 @@ REFEREE_RTOL = 1e-12
 def _quad(func, a, b, **kwargs):
     """scipy's adaptive quadrature, asked for ten times REFEREE_RTOL."""
     return quad(func, a, b, epsabs=0.0, epsrel=1e-13, limit=800, **kwargs)[0]
+
+
+@pytest.mark.parametrize("name", [name for name in list_materials()
+                                  if get_material(name).spin >= 1.0])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(-3.0, 1.0))
+def test_spin_temperature_eta_matches_bisection(name, log_field):
+    # eta is the radius at 1 T; the oracle bisects at the drawn field
+    mat = get_material(name)
+    oracle = spin_temperature_eta_bisection(mat, 10.0 ** log_field)
+    assert _rel(spin_temperature_eta(mat), oracle) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

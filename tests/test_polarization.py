@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
-from donor_halo import (Geometry, MaterialError, calibrate_diffusion, diffusion_radius,
-                        get_material, half_polarization_radius, intrinsic_ratio,
-                        list_materials, nuclear_field, p_avg, p_point, power_sweep,
-                        profile, quadrupolar_radius, radius_sweep, rates,
+from donor_halo import (Geometry, MaterialError, NumericalError, calibrate_diffusion,
+                        diffusion_radius, get_material, half_polarization_radius,
+                        intrinsic_ratio, list_materials, nuclear_field, p_avg, p_point,
+                        power_sweep, profile, quadrupolar_radius, radius_sweep, rates,
                         screening_fraction, state_for_occupancy)
 from donor_halo.kinetics import power_scale
 from donor_halo.oracles import p_avg_quadrature
@@ -224,6 +224,17 @@ def test_diffusion_radius_no_solution(gaas):
     # an empty donor has no hyperfine relaxation to balance diffusion with
     empty = state_for_occupancy(0.0, gaas)
     assert diffusion_radius(empty, 0.1, d, gaas, include_quadrupolar=False) == (None, False)
+
+
+def test_diffusion_radius_past_the_float_range_raises(gaas):
+    # with D and f0 at the smallest subnormal the quadrupolar tail crosses
+    # D / rho^2 past the largest float; f0 = 1e-310 still crosses inside it
+    state = state_for_occupancy(0.5, gaas)
+    with pytest.raises(NumericalError, match="past") as err:
+        diffusion_radius(state, 0.1, 5e-324, gaas, f0=5e-324)
+    assert "\n" not in str(err.value)
+    root = diffusion_radius(state, 0.1, 5e-324, gaas, f0=1e-310)
+    assert root.has_solution and 1e307 < root.value < math.inf
 
 
 def test_diffusion_radius_moves_outward_as_diffusion_weakens(gaas):

@@ -32,11 +32,6 @@ def test_rate_frequencies(gaas):
     assert bundle.omega_1 == pytest.approx(gaas.gamma * 2.0)
     assert bundle.omega_2 == pytest.approx(2.0 * bundle.omega_1)
     assert bundle.omega_h == pytest.approx(gaas.gamma_e * 2.0)
-    shifted = rates(1.0, Geometry(), state, 2.0, gaas, nuclear_field=0.3,
-                    electron_spin_sign=-1)
-    assert shifted.omega_h == pytest.approx(gaas.gamma_e * 1.7)
-    with pytest.raises(MaterialError):
-        rates(1.0, Geometry(), state, 2.0, gaas, electron_spin_sign=0)
 
 
 def test_rate_proportionalities(gaas):

@@ -15,8 +15,7 @@ SCREEN = 0.3233235838169365
 
 def test_estimator_matches_exact_statistics():
     occ, tau_occ, tau_empty = 0.4, 1.0, 1.5
-    est = simulate_telegraph(occ, SCREEN, tau_occ, tau_empty,
-                             n_dwell=120_000, seed=99)
+    est = simulate_telegraph(SCREEN, tau_occ, tau_empty, n_dwell=120_000, seed=99)
     exact_rate = 1.0 / tau_occ + 1.0 / tau_empty
     exact_amp = telegraph_amplitude(occ, SCREEN)
     assert abs(est.mean) <= 3.0 * est.mean_se
@@ -28,26 +27,24 @@ def test_estimator_matches_exact_statistics():
 
 
 def test_estimator_reproducible():
-    a = simulate_telegraph(0.3, SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=5)
-    b = simulate_telegraph(0.3, SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=5)
+    a = simulate_telegraph(SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=5)
+    b = simulate_telegraph(SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=5)
     assert a.amplitude == b.amplitude
     assert np.array_equal(a.acf, b.acf)
-    c = simulate_telegraph(0.3, SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=6)
+    c = simulate_telegraph(SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=6)
     assert not np.array_equal(a.acf, c.acf)
 
 
 def test_estimator_rejects_degenerate_inputs():
     with pytest.raises(MaterialError, match="modulation"):
-        simulate_telegraph(0.5, 0.0, 1.0, 1.0, n_dwell=1000, seed=1)
-    with pytest.raises(MaterialError, match="inconsistent"):
-        simulate_telegraph(0.4, SCREEN, 1.0, 1.0, n_dwell=1000, seed=1)
+        simulate_telegraph(0.0, 1.0, 1.0, n_dwell=1000, seed=1)
 
 
 def test_estimator_error_shrinks_with_samples():
     exact = telegraph_amplitude(0.25, SCREEN)
     errors = {}
     for n in (16_000, 256_000):
-        runs = [simulate_telegraph(0.25, SCREEN, 1.0, 3.0, n_dwell=n,
+        runs = [simulate_telegraph(SCREEN, 1.0, 3.0, n_dwell=n,
                                    seed=1000 + k).amplitude for k in range(8)]
         errors[n] = float(np.mean([abs(a - exact) for a in runs]))
     # 16x the dwell events should shrink the error about 4x
@@ -56,7 +53,7 @@ def test_estimator_error_shrinks_with_samples():
 
 # --- reference estimator -----------------------------------------------------
 
-def reference_telegraph(occ, screening, tau_occupied, tau_empty, n_dwell, seed,
+def reference_telegraph(screening, tau_occupied, tau_empty, n_dwell, seed,
                         n_lags=32, samples_per_dwell=5.0, n_blocks=64):
     """Float-product estimator that simulate_telegraph replaced.
 
@@ -65,6 +62,7 @@ def reference_telegraph(occ, screening, tau_occupied, tau_empty, n_dwell, seed,
     floats.  It shares the sample-count guard, so both reject the same
     inputs.
     """
+    occ = tau_occupied / (tau_occupied + tau_empty)
     rng = np.random.default_rng(seed)
     first_occupied = bool(rng.random() < occ)
     means = np.empty(n_dwell)
@@ -121,9 +119,8 @@ RTOL = 1e-12
 ATOL_SCALE = 1e-13
 
 
-def assert_matches_reference(occ, screening, tau_occupied, tau_empty, n_dwell,
-                             seed, **options):
-    args = (occ, screening, tau_occupied, tau_empty, n_dwell, seed)
+def assert_matches_reference(screening, tau_occupied, tau_empty, n_dwell, seed, **options):
+    args = (screening, tau_occupied, tau_empty, n_dwell, seed)
     try:
         ref = reference_telegraph(*args, **options)
     except MaterialError:
@@ -134,6 +131,7 @@ def assert_matches_reference(occ, screening, tau_occupied, tau_empty, n_dwell,
     assert np.array_equal(est.lag_times, ref.lag_times)
     assert est.total_time == ref.total_time
     assert est.dwell_count == ref.dwell_count
+    occ = tau_occupied / (tau_occupied + tau_empty)
     h_scale = max(abs(h) for h in telegraph_values(occ, screening))
     for name, scale in (("acf", h_scale ** 2), ("acf_se", h_scale ** 2),
                         ("mean", h_scale), ("mean_se", h_scale)):
@@ -166,8 +164,7 @@ def test_estimator_matches_reference(tau_occupied, tau_empty, seed, first_occupi
                                      n_dwell, options):
     occ = tau_occupied / (tau_occupied + tau_empty)
     assert bool(np.random.default_rng(seed).random() < occ) is first_occupied
-    assert_matches_reference(occ, SCREEN, tau_occupied, tau_empty, n_dwell, seed,
-                             **options)
+    assert_matches_reference(SCREEN, tau_occupied, tau_empty, n_dwell, seed, **options)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -184,8 +181,7 @@ def test_estimator_matches_reference(tau_occupied, tau_empty, seed, first_occupi
 def test_estimator_matches_reference_random(tau_occupied, tau_empty, screening,
                                             log_dwell, seed, samples_per_dwell,
                                             n_lags, n_blocks):
-    occ = tau_occupied / (tau_occupied + tau_empty)
-    assert_matches_reference(occ, screening, tau_occupied, tau_empty,
+    assert_matches_reference(screening, tau_occupied, tau_empty,
                              int(math.exp(log_dwell)), seed,
                              samples_per_dwell=samples_per_dwell,
                              n_lags=n_lags, n_blocks=n_blocks)
@@ -194,10 +190,10 @@ def test_estimator_matches_reference_random(tau_occupied, tau_empty, screening,
 def test_estimator_matches_reference_on_whole_words():
     # 18880 samples are 295 whole words, and 5 blocks of 59 words put every
     # lag-0 block bound on a word boundary
-    occ, seed, options = 0.4, 68, {"n_lags": 65, "n_blocks": 5}
-    est = simulate_telegraph(occ, SCREEN, 1.0, 1.5, n_dwell=3000, seed=seed, **options)
+    seed, options = 68, {"n_lags": 65, "n_blocks": 5}
+    est = simulate_telegraph(SCREEN, 1.0, 1.5, n_dwell=3000, seed=seed, **options)
     assert int(est.total_time / 0.2) == 18880 == 295 * 64
-    assert_matches_reference(occ, SCREEN, 1.0, 1.5, 3000, seed, **options)
+    assert_matches_reference(SCREEN, 1.0, 1.5, 3000, seed, **options)
 
 
 @pytest.mark.parametrize("n_dwell", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
@@ -206,17 +202,16 @@ def test_estimator_matches_reference_across_chunks(n_dwell, seed, first_occupied
     # the dwells are drawn and packed _CHUNK at a time: a last chunk of
     # one dwell, a full last chunk, and the running total carried across
     # one and two chunk edges
-    occ = 0.4
-    assert bool(np.random.default_rng(seed).random() < occ) is first_occupied
-    assert_matches_reference(occ, SCREEN, 1.0, 1.5, n_dwell, seed, n_lags=8)
+    assert bool(np.random.default_rng(seed).random() < 0.4) is first_occupied
+    assert_matches_reference(SCREEN, 1.0, 1.5, n_dwell, seed, n_lags=8)
 
 
 @pytest.mark.parametrize("n", [16_000, 256_000])
 @pytest.mark.parametrize("seed", [20260810, 1000])
 def test_amplitude_does_not_depend_on_lag_count(n, seed):
     # properties/mc-convergence reads only the amplitude and asks for 4 lags
-    short = simulate_telegraph(0.25, SCREEN, 1.0, 3.0, n_dwell=n, seed=seed, n_lags=4)
-    full = simulate_telegraph(0.25, SCREEN, 1.0, 3.0, n_dwell=n, seed=seed)
+    short = simulate_telegraph(SCREEN, 1.0, 3.0, n_dwell=n, seed=seed, n_lags=4)
+    full = simulate_telegraph(SCREEN, 1.0, 3.0, n_dwell=n, seed=seed)
     assert short.amplitude == full.amplitude
 
 
@@ -235,7 +230,7 @@ def test_amplitude_does_not_depend_on_lag_count(n, seed):
 )
 def test_estimator_rejects_bad_options(options, match):
     with pytest.raises(MaterialError, match=match):
-        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=1000, seed=1, **options)
+        simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=1000, seed=1, **options)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +244,7 @@ def test_estimator_rejects_bad_options(options, match):
 )
 def test_estimator_refuses_a_grid_too_large(samples_per_dwell, match):
     with pytest.raises(MaterialError, match=match) as err:
-        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=1000, seed=1,
+        simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=1000, seed=1,
                            samples_per_dwell=samples_per_dwell)
     message = str(err.value)
     assert "\n" not in message
@@ -260,7 +255,7 @@ def test_estimator_rejects_a_non_positive_acf_in_the_fit():
     # 0.3 samples per dwell leave the lags nearly uncorrelated, and lag 1
     # reads below zero, which the log-linear decay fit cannot take
     with pytest.raises(MaterialError) as err:
-        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=300, seed=0,
+        simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=300, seed=0,
                            samples_per_dwell=0.3, n_lags=8)
     message = str(err.value)
     assert "\n" not in message
@@ -272,12 +267,12 @@ def test_simulation_peak_memory_per_dwell():
     # words and their popcount prefix; the one int64 start per dwell it
     # replaced took 25 bytes per dwell at the peak
     n_dwell = 1_000_000
-    simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=n_dwell, seed=1)
+    simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=n_dwell, seed=1)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=n_dwell, seed=1)
+        simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=n_dwell, seed=1)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -286,9 +281,9 @@ def test_simulation_peak_memory_per_dwell():
 
 def test_estimator_rejects_too_few_samples():
     with pytest.raises(MaterialError, match="at least 4 dwell"):
-        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=3, seed=1)
+        simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=3, seed=1)
     with pytest.raises(MaterialError, match="cannot fill 64 blocks"):
-        simulate_telegraph(0.5, SCREEN, 1.0, 1.0, n_dwell=4, seed=1)
+        simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=4, seed=1)
 
 
 # --- dwell start indices -----------------------------------------------------
