@@ -12,12 +12,16 @@ Four independent batteries guard the package:
 * ``properties``      -- monotonicity, positivity, normalization and
   power-law identities.
 
-Each check returns a result record; the command-line ``verify`` command
-prints one line per check and fails the process when any check fails.
+Each check is declared once: as a named function, or, for a reference
+number that must lie in a window, as one ``_window`` entry.  All of a
+check's work runs inside the runner, so a check that raises is a failed
+check.  The command-line ``verify`` command prints one line per check and
+fails the process when any check fails.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -349,43 +353,30 @@ def _within(value: float, lo: float, hi: float, label: str) -> tuple[bool, str]:
     return lo <= value <= hi, f"{label} = {value:.6g} (window [{lo:.6g}, {hi:.6g}])"
 
 
+def _window(name: str, label: str, lo: float, hi: float, value: Callable[[], float]) -> Check:
+    """The check ``name``: ``value()`` lies in [lo, hi], reported under ``label``."""
+    return name, lambda: _within(value(), lo, hi, label)
+
+
 def reference_number_suite() -> list[CheckResult]:
     mat = get_material("GaAs:As75")
+
+    @functools.cache
+    def sweep() -> polarization.PowerSweep:
+        # run inside _run's guard, by the first check that reads it, once per suite call
+        return polarization.power_sweep(np.geomspace(0.1, 100.0, 31), mat)
+
+    def at_p0(column: np.ndarray) -> float:
+        return column[np.argmin(np.abs(sweep().p_over_p0 - 1.0))]
+
+    rho_q = functools.partial(polarization.quadrupolar_radius, 1e-2)
+
+    def threshold_half_bohr() -> float:
+        return validity.field_threshold(mat.bohr_radius / 2.0, validity.spin_temperature_eta(mat))
 
     def screening_at_bohr() -> tuple[bool, str]:
         s1 = fields.screening_fraction(1.0)
         return abs(s1 - 0.323) <= 0.01, f"s(a0*) = {s1:.6f} (target 0.323 +- 0.01)"
-
-    def competition_floor() -> tuple[bool, str]:
-        return _within(relaxation.intrinsic_ratio(mat), 1e-3, 4e-3, "f00")
-
-    def competition_amplitude() -> tuple[bool, str]:
-        f0 = relaxation.intrinsic_ratio(mat) / 0.25
-        return _within(f0, 5e-3, 2e-2, "f0 at half occupancy")
-
-    def ratio_perpendicular() -> tuple[bool, str]:
-        f = 1e-2 * relaxation.radial_profile(1.0)
-        return _within(f, 0.07, 0.13, "f(a0*, pi/2) at f0=1e-2")
-
-    def ratio_parallel() -> tuple[bool, str]:
-        f = 1e-2 * relaxation.radial_profile(1.0) / 4.0
-        return _within(f, 0.017, 0.033, "f(a0*, 0) at f0=1e-2")
-
-    def half_radius_parallel() -> tuple[bool, str]:
-        r = polarization.half_polarization_radius(0.0, 1e-2)
-        return _within(r, 0.22, 0.28, "half-polarization radius, parallel")
-
-    def half_radius_perpendicular() -> tuple[bool, str]:
-        r = polarization.half_polarization_radius(math.pi / 2.0, 1e-2)
-        return _within(r, 0.42, 0.48, "half-polarization radius, perpendicular")
-
-    def quadrupolar_radius_value() -> tuple[bool, str]:
-        rho = polarization.quadrupolar_radius(1e-2)
-        return _within(rho, 0.34, 0.36, "quadrupolar radius at f0=1e-2")
-
-    def screening_at_radius() -> tuple[bool, str]:
-        rho = polarization.quadrupolar_radius(1e-2)
-        return _within(fields.screening_fraction(rho), 0.029, 0.039, "s(rho_q)")
 
     def radius_sweep_monotone() -> tuple[bool, str]:
         table = polarization.radius_sweep(np.geomspace(1e-4, 1.0, 25))
@@ -393,18 +384,19 @@ def reference_number_suite() -> list[CheckResult]:
         s_up = bool(np.all(np.diff(table[:, 2]) > 0.0))
         return rho_up and s_up, f"rho_q increasing: {rho_up}, s(rho_q) increasing: {s_up}"
 
-    def diffusion_calibration() -> tuple[bool, str]:
+    def balance_radius(**options) -> polarization.DiffusionRadius:
+        # half occupancy, with D calibrated to put the no-quadrupolar root at RHO_D_REFERENCE
         state = kinetics.state_for_occupancy(0.5, mat)
         d = polarization.calibrate_diffusion(state, 0.1, mat)
-        root = polarization.diffusion_radius(state, 0.1, d, mat,
-                                             include_quadrupolar=False)
+        return polarization.diffusion_radius(state, 0.1, d, mat, **options)
+
+    def diffusion_calibration() -> tuple[bool, str]:
+        root = balance_radius(include_quadrupolar=False)
         ok = root.has_solution and abs(root.value - polarization.RHO_D_REFERENCE) <= 1e-5
         return ok, f"no-quadrupolar balance radius = {root.value} (calibrated target 1.4)"
 
     def diffusion_quad_modified() -> tuple[bool, str]:
-        state = kinetics.state_for_occupancy(0.5, mat)
-        d = polarization.calibrate_diffusion(state, 0.1, mat)
-        root = polarization.diffusion_radius(state, 0.1, d, mat, f0=1e-2)
+        root = balance_radius(f0=1e-2)
         value = root.value if root.has_solution else float("nan")
         ok = root.has_solution and 0.85 <= value <= 1.15
         return ok, (f"quadrupolar-modified balance radius = {value:.4g} a0* "
@@ -412,59 +404,10 @@ def reference_number_suite() -> list[CheckResult]:
                     "push the outermost crossing outward, so the published "
                     "~1.0 a0* is not reproducible from this balance)")
 
-    def field_reduction_ratio() -> tuple[bool, str]:
-        rho_q = polarization.quadrupolar_radius(1e-2)
-        ratio = (fields.screening_fraction(polarization.RHO_D_REFERENCE)
-                 / fields.screening_fraction(rho_q))
-        return _within(ratio, 10.0, 20.0, "s(rho_d)/s(rho_q)")
-
-    def sweep_checks() -> list[Check]:
-        sweep = polarization.power_sweep(np.geomspace(0.1, 100.0, 31), mat)
-        i0 = int(np.argmin(np.abs(sweep.p_over_p0 - 1.0)))
-
-        def occupancy_at_p0() -> tuple[bool, str]:
-            return _within(sweep.occupancy[i0], 0.4, 0.6, "occupancy at P0")
-
-        def dip_factor() -> tuple[bool, str]:
-            dip = 0.5 / sweep.s_rho_q[i0]
-            return _within(dip, 13.0, 30.0, "reduction factor 0.5/s(rho_q) at P0")
-
-        def tail_decreasing() -> tuple[bool, str]:
-            tail = sweep.alpha_n[sweep.p_over_p0 >= 2.0]
-            ok = bool(np.all(np.diff(tail) < 0.0))
-            return ok, f"alpha_n strictly decreasing over {tail.size} high-power points"
-
-        return [("sweep-occupancy-at-p0", occupancy_at_p0),
-                ("sweep-dip-factor", dip_factor),
-                ("sweep-tail-decreasing", tail_decreasing)]
-
-    def power_scale_value() -> tuple[bool, str]:
-        return _within(kinetics.power_scale(mat), 2.4e6 / 3.0, 2.4e6 * 3.0,
-                       "P0 (W/m^2)")
-
-    def quadrupolar_local_field() -> tuple[bool, str]:
-        b_q = spin_algebra.bq_local_field(0.5, 0.0, fields.Geometry(), mat)
-        return _within(b_q, 1.6e-3 / 3.0, 1.6e-3 * 3.0, "B_Q(0.5 a0*, occ 0)")
-
-    def spin_temperature_eta() -> tuple[bool, str]:
-        eta = validity.spin_temperature_eta(mat)
-        return _within(eta, 1.5e-9, 4.5e-9, "eta (m T^1/5)")
-
-    def threshold_half_bohr() -> tuple[bool, str]:
-        eta = validity.spin_temperature_eta(mat)
-        b = validity.field_threshold(mat.bohr_radius / 2.0, eta)
-        return _within(b, 0.045, 0.18, "field threshold at a0*/2")
-
-    def radius_at_third_threshold() -> tuple[bool, str]:
-        eta = validity.spin_temperature_eta(mat)
-        b = validity.field_threshold(mat.bohr_radius / 2.0, eta) / 3.0
-        r = validity.spin_temperature_limit(b, mat).r_q / mat.bohr_radius
-        return _within(r, 0.45, 0.75, "spin-temperature radius at threshold/3")
-
-    def narrowing_crossover() -> tuple[bool, str]:
-        state = kinetics.occupancy(1e21, mat)
-        b_star = 1.0 / (mat.gamma_e * state.tau_hyper)
-        return _within(b_star, 20.0 / 3.0, 60.0, "B with omega_H tau_H = 1")
+    def sweep_tail_decreasing() -> tuple[bool, str]:
+        tail = sweep().alpha_n[sweep().p_over_p0 >= 2.0]
+        ok = bool(np.all(np.diff(tail) < 0.0))
+        return ok, f"alpha_n strictly decreasing over {tail.size} high-power points"
 
     def coupling_table() -> tuple[bool, str]:
         worst = 0.0
@@ -472,32 +415,48 @@ def reference_number_suite() -> list[CheckResult]:
             worst = max(worst, abs(record.bq_recomputed() - record.b_q) / record.b_q)
         return worst <= 0.10, f"worst b_q round-trip deviation {worst:.2%} (tol 10%)"
 
-    checks: list[Check] = [
+    return _run("reference-numbers", [
         ("screening-at-bohr", screening_at_bohr),
-        ("competition-floor", competition_floor),
-        ("competition-amplitude", competition_amplitude),
-        ("ratio-at-bohr-perpendicular", ratio_perpendicular),
-        ("ratio-at-bohr-parallel", ratio_parallel),
-        ("half-radius-parallel", half_radius_parallel),
-        ("half-radius-perpendicular", half_radius_perpendicular),
-        ("quadrupolar-radius", quadrupolar_radius_value),
-        ("screening-at-radius", screening_at_radius),
+        _window("competition-floor", "f00", 1e-3, 4e-3, lambda: relaxation.intrinsic_ratio(mat)),
+        _window("competition-amplitude", "f0 at half occupancy", 5e-3, 2e-2,
+                lambda: relaxation.intrinsic_ratio(mat) / 0.25),
+        _window("ratio-at-bohr-perpendicular", "f(a0*, pi/2) at f0=1e-2", 0.07, 0.13,
+                lambda: 1e-2 * relaxation.radial_profile(1.0)),
+        _window("ratio-at-bohr-parallel", "f(a0*, 0) at f0=1e-2", 0.017, 0.033,
+                lambda: 1e-2 * relaxation.radial_profile(1.0) / 4.0),
+        _window("half-radius-parallel", "half-polarization radius, parallel", 0.22, 0.28,
+                lambda: polarization.half_polarization_radius(0.0, 1e-2)),
+        _window("half-radius-perpendicular", "half-polarization radius, perpendicular",
+                0.42, 0.48, lambda: polarization.half_polarization_radius(math.pi / 2.0, 1e-2)),
+        _window("quadrupolar-radius", "quadrupolar radius at f0=1e-2", 0.34, 0.36, rho_q),
+        _window("screening-at-radius", "s(rho_q)", 0.029, 0.039,
+                lambda: fields.screening_fraction(rho_q())),
         ("radius-sweep-monotone", radius_sweep_monotone),
         ("diffusion-calibration", diffusion_calibration),
         ("diffusion-quad-modified", diffusion_quad_modified),
-        ("field-reduction-ratio", field_reduction_ratio),
-    ]
-    checks.extend(sweep_checks())
-    checks.extend([
-        ("power-scale", power_scale_value),
-        ("quadrupolar-local-field", quadrupolar_local_field),
-        ("spin-temperature-eta", spin_temperature_eta),
-        ("threshold-at-half-bohr", threshold_half_bohr),
-        ("radius-at-third-threshold", radius_at_third_threshold),
-        ("narrowing-crossover", narrowing_crossover),
+        _window("field-reduction-ratio", "s(rho_d)/s(rho_q)", 10.0, 20.0,
+                lambda: (fields.screening_fraction(polarization.RHO_D_REFERENCE)
+                         / fields.screening_fraction(rho_q()))),
+        _window("sweep-occupancy-at-p0", "occupancy at P0", 0.4, 0.6,
+                lambda: at_p0(sweep().occupancy)),
+        _window("sweep-dip-factor", "reduction factor 0.5/s(rho_q) at P0", 13.0, 30.0,
+                lambda: 0.5 / at_p0(sweep().s_rho_q)),
+        ("sweep-tail-decreasing", sweep_tail_decreasing),
+        _window("power-scale", "P0 (W/m^2)", 2.4e6 / 3.0, 2.4e6 * 3.0,
+                lambda: kinetics.power_scale(mat)),
+        _window("quadrupolar-local-field", "B_Q(0.5 a0*, occ 0)", 1.6e-3 / 3.0, 1.6e-3 * 3.0,
+                lambda: spin_algebra.bq_local_field(0.5, 0.0, fields.Geometry(), mat)),
+        _window("spin-temperature-eta", "eta (m T^1/5)", 1.5e-9, 4.5e-9,
+                lambda: validity.spin_temperature_eta(mat)),
+        _window("threshold-at-half-bohr", "field threshold at a0*/2", 0.045, 0.18,
+                threshold_half_bohr),
+        _window("radius-at-third-threshold", "spin-temperature radius at threshold/3", 0.45, 0.75,
+                lambda: validity.spin_temperature_limit(threshold_half_bohr() / 3.0, mat).r_q
+                / mat.bohr_radius),
+        _window("narrowing-crossover", "B with omega_H tau_H = 1", 20.0 / 3.0, 60.0,
+                lambda: 1.0 / (mat.gamma_e * kinetics.occupancy(1e21, mat).tau_hyper)),
         ("coupling-table", coupling_table),
     ])
-    return _run("reference-numbers", checks)
 
 
 #: checks that document known discrepancies; they stay red on purpose and

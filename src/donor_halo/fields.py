@@ -67,6 +67,10 @@ class FieldPoint:
 #: add less than 5e-17 of the sum
 _SERIES = tuple(1.0 / math.factorial(k + 3) for k in range(15, -1, -1))
 
+#: above x = 800 the tail (1 + x + x^2/2) e^-x is 0 in floats, so s = 1 and
+#: log s = 0; x is clipped there so that x^2 stays finite
+_LOG_TAIL_END = 800.0
+
 
 def screening_fraction(r_bohr):
     """Fraction of the 1s electron charge inside radius r (a0* units).
@@ -75,18 +79,20 @@ def screening_fraction(r_bohr):
     site to 1 far away, i.e. it is exactly the normalized radial charge
     CDF.  Below x = 1 that difference cancels (all digits are lost by
     r = 1e-8), so there the positive series x^3 e^-x sum x^k/(k+3)! is
-    summed instead.  Takes a float or an array.
+    summed instead; above x = 800 it is 1.  Takes a float or an array.
     """
     x = 2.0 * (r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr))
     if isinstance(x, float):
-        if x < 0.0:
+        if not x >= 0.0:        # written so that NaN fails too
             raise MaterialError("radius must be non-negative")
         if x < 1.0:
             return _cdf_series(x, math)
+        x = min(x, _LOG_TAIL_END)
         return -math.expm1(-x) - (x + 0.5 * x * x) * math.exp(-x)
-    if (x < 0.0).any():
+    if not (x >= 0.0).all():
         raise MaterialError("radius must be non-negative")
-    out = -np.expm1(-x) - (x + 0.5 * x * x) * np.exp(-x)
+    tail = np.minimum(x, _LOG_TAIL_END)
+    out = -np.expm1(-tail) - (tail + 0.5 * tail * tail) * np.exp(-tail)
     small = x < 1.0
     if small.any():
         out[small] = _cdf_series(x[small], np)
@@ -102,10 +108,6 @@ def _series_sum(x):
 
 def _cdf_series(x, xp):
     return x * x * x * xp.exp(-x) * _series_sum(x)
-
-
-#: above x = 800 the tail (1 + x + x^2/2) e^-x is 0 in floats, so log s = 0
-_LOG_TAIL_END = 800.0
 
 
 def log_screening_fraction(r_bohr):
@@ -140,16 +142,20 @@ def log_screening_fraction(r_bohr):
 def screening_density(r_bohr):
     """Radial charge density 4 r^2 exp(-2r); the derivative of the CDF.
 
-    Takes a float or an array.
+    From r = 400 on it is 0.0 in floats, so r is clipped there and r^2
+    stays finite.  Takes a float or an array.
     """
     r = r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr)
-    exp = math.exp if isinstance(r, float) else np.exp
+    if isinstance(r, float):
+        r, exp = min(r, 0.5 * _LOG_TAIL_END), math.exp
+    else:
+        r, exp = np.minimum(r, 0.5 * _LOG_TAIL_END), np.exp
     return 4.0 * r * r * exp(-2.0 * r)
 
 
 def coulomb_field(r: float, mat: MaterialRecord) -> float:
     """Unscreened donor field e / (4 pi eps eps0 r^2) in V/m (r in a0* units)."""
-    if r <= 0.0:
+    if not r > 0.0:             # written so that NaN fails too
         raise MaterialError("field diverges at the donor site; r must be positive")
     r_m = r * mat.bohr_radius
     denominator = 4.0 * math.pi * mat.epsilon * EPSILON_0 * r_m * r_m
@@ -173,7 +179,7 @@ def donor_field(r: float, occupancy: float, mat: MaterialRecord) -> FieldPoint:
 def hyperfine_field_instant(r: float, mat: MaterialRecord) -> float:
     """Instant hyperfine field b_e*(a0*) exp(-2 (r/a0* - 1)), in T (r in a0* units)."""
     anchor = mat.require_hyperfine_field()
-    if r < 0.0:
+    if not r >= 0.0:           # written so that NaN fails too
         raise MaterialError("radius must be non-negative")
     return anchor * math.exp(-2.0 * (r - 1.0))
 

@@ -414,8 +414,8 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
 
 def spectral_density(omega: float, amplitude: float, tau_c: float) -> float:
     """Lorentzian spectral density 2 * amplitude * tau_c / (1 + omega^2 tau_c^2)."""
-    if not tau_c > 0.0:         # written so that NaN fails too
-        raise MaterialError("correlation time must be positive")
+    if not 0.0 < tau_c < math.inf:      # written so that NaN fails too
+        raise MaterialError("correlation time must be positive and finite")
     x = omega * tau_c     # x * x, unlike x ** 2, overflows to inf and J to 0
     return 2.0 * amplitude * tau_c / (1.0 + x * x)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from donor_halo import checks
+from donor_halo import checks, polarization
 
 
 def test_unknown_suite_rejected():
@@ -27,3 +27,18 @@ def test_crashing_check_reports_failure():
     assert len(results) == 1
     assert not results[0].ok
     assert "kaboom" in results[0].detail
+
+
+def test_reference_numbers_run_the_power_sweep_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(*args, real=polarization.power_sweep, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polarization, "power_sweep", counted)
+    assert all(r.ok for r in checks.reference_number_suite()
+               if r.name.startswith("sweep-"))
+    assert len(calls) == 1
+    checks.reference_number_suite()
+    assert len(calls) == 2

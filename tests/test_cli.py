@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from donor_halo import cli
+from donor_halo import cli, polarization
 
 
 def run_cli(*argv, capsys=None):
@@ -228,6 +228,9 @@ PASS telegraph-mc/asymmetric-dwell: decay rel err 0.0052, amplitude within 3 sig
 """
 PINNED_MC_CONVERGENCE = ("PASS properties/mc-convergence: mean abs error ratio "
                          "(16x dwells) = 0.202 (window [0.15, 0.6])")
+#: the whole stdout of ``donor-halo verify`` with every default (exit 4: the
+#: documented discrepancy stays red)
+PINNED_VERIFY = Path(__file__).parent / "data" / "verify_default.txt"
 
 
 def test_verify_monte_carlo_output_is_pinned(capsys):
@@ -236,6 +239,27 @@ def test_verify_monte_carlo_output_is_pinned(capsys):
     code, out = run_cli("verify", "--suite", "properties", capsys=capsys)
     assert code == 0
     assert PINNED_MC_CONVERGENCE in out.splitlines()
+    code, out = run_cli("verify", capsys=capsys)
+    assert (code, out) == (4, PINNED_VERIFY.read_text())
+
+
+def test_verify_reports_a_raising_power_sweep_as_failed_checks(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("no sweep")
+
+    monkeypatch.setattr(polarization, "power_sweep", broken)
+    code, out = run_cli("verify", "--suite", "reference-numbers", capsys=capsys)
+    # the three checks that read the sweep fail; the other 20 print their pinned line
+    expect = []
+    for line in PINNED_VERIFY.read_text().splitlines():
+        name = re.match(r"(?:PASS|FAIL) reference-numbers/([-a-z0-9]+):", line)
+        if name and name[1].startswith("sweep-"):
+            expect.append(f"FAIL reference-numbers/{name[1]}: raised RuntimeError: no sweep")
+        elif name:
+            expect.append(line)
+    expect += ["-- suite reference-numbers: 19/23 passed", "== total: 19/23 passed"]
+    assert code == 4
+    assert out.splitlines() == expect
 
 
 def test_verify_rejects_unknown_suite(capsys):

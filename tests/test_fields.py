@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from donor_halo import (Geometry, MaterialError, MissingParameterError, coulomb_field,
                         donor_field, efg_transform, get_material,
-                        hyperfine_field_instant, screening_fraction)
+                        hyperfine_field_instant, rates, screening_fraction,
+                        spectral_density, state_for_occupancy)
 from donor_halo.fields import field_direction, screening_density
 from donor_halo.materials import E_CHARGE, EPSILON_0, HBAR
 from donor_halo.oracles import efg_transform_rotation, screening_cdf_quadrature
@@ -50,6 +51,38 @@ def test_screening_rejects_negative_radius():
         screening_fraction(-1e-3)
     with pytest.raises(MaterialError):
         screening_fraction(np.array([0.1, -1e-3]))
+
+
+def _rates(r, mat):
+    return rates(r, Geometry(), state_for_occupancy(0.5, mat), 1.0, mat)
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda mat: screening_fraction(math.nan), MaterialError),
+    (lambda mat: screening_fraction(np.array([0.5, math.nan])), MaterialError),
+    (lambda mat: coulomb_field(math.nan, mat), MaterialError),
+    (lambda mat: hyperfine_field_instant(math.nan, mat), MaterialError),
+    (lambda mat: spectral_density(1e9, 1.0, math.inf), MaterialError),
+    (lambda mat: spectral_density(0.0, 1.0, math.inf), MaterialError),
+    (lambda mat: _rates(math.nan, mat), MaterialError),
+    (lambda mat: screening_fraction(1e154), 1.0),
+    (lambda mat: screening_fraction(math.inf), 1.0),
+    (lambda mat: list(screening_fraction(np.array([1e154, math.inf]))), [1.0, 1.0]),
+    (lambda mat: screening_density(1e154), 0.0),
+    (lambda mat: screening_density(math.inf), 0.0),
+    (lambda mat: list(screening_density(np.array([1e154, math.inf]))), [0.0, 0.0]),
+    (lambda mat: _rates(1e200, mat).inv_t1q, 0.0),
+], ids=["s-nan", "s-array-nan", "coulomb-nan", "hyperfine-nan", "spectral-inf-tau",
+        "spectral-inf-tau-dc", "rates-nan", "s-far", "s-inf", "s-array-far",
+        "density-far", "density-inf", "density-array-far", "rates-far"])
+def test_kernels_refuse_nan_and_keep_the_far_field_limits(call, expect, gaas):
+    # NaN and an infinite correlation time are refused; far out s(r) = 1 and the
+    # density is 0 exactly, where x^2 overflowed and inf * 0 gave NaN
+    if expect is MaterialError:
+        with pytest.raises(MaterialError):
+            call(gaas)
+    else:
+        assert call(gaas) == expect
 
 
 def test_coulomb_field_value_and_scaling(gaas):

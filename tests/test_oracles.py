@@ -21,12 +21,12 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from donor_halo import (Geometry, angular_factor, bq_local_field, compute_bq,
-                        gamma_ceiling, get_material, list_materials, nuclear_field,
+                        efg_transform, gamma_ceiling, get_material, list_materials, nuclear_field,
                         p_avg, profile, redfield_rate_analytic, telegraph_correlation)
-from donor_halo.fields import screening_density
+from donor_halo.fields import field_direction, screening_density
 from donor_halo.kinetics import telegraph_amplitude
 from donor_halo.oracles import (angular_factor_trace, bq_local_field_trace,
-                                p_avg_quadrature, power_map_residuals,
+                                efg_transform_rotation, p_avg_quadrature, power_map_residuals,
                                 redfield_rate_superoperator,
                                 screening_cdf_quadrature, spectral_density_quadrature,
                                 spin_temperature_eta_bisection,
@@ -109,6 +109,19 @@ def test_power_map_solves_the_balance_equations(name, log_gap, from_top):
     gamma_t = high - gap if from_top else low + gap
     residuals = power_map_residuals(gamma_t, mat)
     assert residuals["trapping"] <= 1e-8 and residuals["generation"] <= 1e-8, residuals
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(THETA, PHI, THETA, PHI, st.floats(3.0, 9.0), st.sampled_from(list_materials()))
+def test_efg_transform_matches_rotation(theta, phi, theta_b, phi_b, log_e, name):
+    # E along (theta, phi) at 1e3..1e9 V/m, in the field frame of (theta_b, phi_b)
+    geo = Geometry(theta=theta, phi=phi, theta_b=theta_b, phi_b=phi_b)
+    e_vec = 10.0 ** log_e * field_direction(theta, phi)
+    r14 = get_material(name).r14
+    closed = efg_transform(e_vec, geo, r14)
+    oracle = efg_transform_rotation(e_vec, geo, r14)
+    scale = max(abs(c) for c in closed)
+    assert max(abs(c - o) for c, o in zip(closed, oracle)) <= 1e-12 * scale
 
 
 # --- the numpy routes against scipy ------------------------------------------
