@@ -20,9 +20,9 @@ from .errors import (BracketError, DonorHaloError, MaterialError,
 from .fields import (EfgComponents, FieldPoint, Geometry, coulomb_field, donor_field,
                      efg_transform, hyperfine_field_instant, screening_fraction)
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, TelegraphEstimate,
-                       gamma_ceiling, invert_power, occupancy, power_closed_form,
-                       power_map, simulate_telegraph, spectral_density,
-                       state_for_occupancy, telegraph_correlation)
+                       gamma_ceiling, invert_power, occupancy, power_map,
+                       simulate_telegraph, spectral_density, state_for_occupancy,
+                       telegraph_correlation)
 from .materials import (MaterialRecord, compute_bq, get_material, list_materials,
                         load_registry)
 from .polarization import (DiffusionRadius, NuclearField, PowerSweep,

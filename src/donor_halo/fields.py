@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MaterialError, NumericalError
+from .errors import NumericalError
 from .materials import E_CHARGE, EPSILON_0, HBAR, MaterialRecord
-from .numerics import as_operand
+from .numerics import AZIMUTH, FINITE, NON_NEGATIVE, POLAR, POSITIVE, UNIT, require
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,8 @@ class Geometry:
     phi_b: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value, upper in (
-            ("theta", self.theta, math.pi),
-            ("theta_b", self.theta_b, math.pi),
-        ):
-            if not 0.0 <= value <= upper:
-                raise MaterialError(f"{name} must lie in [0, pi], got {value}")
-        for name, value in (("phi", self.phi), ("phi_b", self.phi_b)):
-            if not 0.0 <= value < 2.0 * math.pi:
-                raise MaterialError(f"{name} must lie in [0, 2*pi), got {value}")
+        for name in ("theta", "phi", "theta_b", "phi_b"):
+            require(getattr(self, name), name, AZIMUTH if name.startswith("phi") else POLAR)
 
 
 @dataclass(frozen=True)
@@ -81,16 +74,12 @@ def screening_fraction(r_bohr):
     r = 1e-8), so there the positive series x^3 e^-x sum x^k/(k+3)! is
     summed instead; above x = 800 it is 1.  Takes a float or an array.
     """
-    x = 2.0 * (r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr))
+    x = 2.0 * require(r_bohr, "radius", NON_NEGATIVE)
     if isinstance(x, float):
-        if not x >= 0.0:        # written so that NaN fails too
-            raise MaterialError("radius must be non-negative")
         if x < 1.0:
             return _cdf_series(x, math)
         x = min(x, _LOG_TAIL_END)
         return -math.expm1(-x) - (x + 0.5 * x * x) * math.exp(-x)
-    if not (x >= 0.0).all():
-        raise MaterialError("radius must be non-negative")
     tail = np.minimum(x, _LOG_TAIL_END)
     out = -np.expm1(-tail) - (tail + 0.5 * tail * tail) * np.exp(-tail)
     small = x < 1.0
@@ -120,16 +109,16 @@ def log_screening_fraction(r_bohr):
     stays finite (Maechler, "Accurately computing log(1 - exp(-|a|))",
     2012).  Takes a float or an array.
     """
-    x = 2.0 * (r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr))
+    return _log_screening(2.0 * require(r_bohr, "radius", POSITIVE))
+
+
+def _log_screening(x):
+    """log s at x = 2r > 0, float or array, with no guard."""
     if isinstance(x, float):
-        if not x > 0.0:
-            raise MaterialError("radius must be positive")
         if x < 1.0:
             return 3.0 * math.log(x) - x + math.log(_series_sum(x))
         x = min(x, _LOG_TAIL_END)
         return math.log1p(-(1.0 + x + 0.5 * x * x) * math.exp(-x))
-    if not (x > 0.0).all():
-        raise MaterialError("radius must be positive")
     tail = np.clip(x, 1.0, _LOG_TAIL_END)
     out = np.log1p(-(1.0 + tail + 0.5 * tail * tail) * np.exp(-tail))
     small = x < 1.0
@@ -145,7 +134,7 @@ def screening_density(r_bohr):
     From r = 400 on it is 0.0 in floats, so r is clipped there and r^2
     stays finite.  Takes a float or an array.
     """
-    r = r_bohr if isinstance(r_bohr, float) else as_operand(r_bohr)
+    r = require(r_bohr, "radius", NON_NEGATIVE)
     if isinstance(r, float):
         r, exp = min(r, 0.5 * _LOG_TAIL_END), math.exp
     else:
@@ -155,9 +144,7 @@ def screening_density(r_bohr):
 
 def coulomb_field(r: float, mat: MaterialRecord) -> float:
     """Unscreened donor field e / (4 pi eps eps0 r^2) in V/m (r in a0* units)."""
-    if not r > 0.0:             # written so that NaN fails too
-        raise MaterialError("field diverges at the donor site; r must be positive")
-    r_m = r * mat.bohr_radius
+    r_m = require(r, "radius", POSITIVE) * mat.bohr_radius
     denominator = 4.0 * math.pi * mat.epsilon * EPSILON_0 * r_m * r_m
     field = E_CHARGE / denominator if denominator else math.inf
     if field == math.inf:
@@ -168,8 +155,7 @@ def coulomb_field(r: float, mat: MaterialRecord) -> float:
 
 def donor_field(r: float, occupancy: float, mat: MaterialRecord) -> FieldPoint:
     """Electric-field state at distance r (a0* units) for donor occupancy in [0, 1]."""
-    if not 0.0 <= occupancy <= 1.0:
-        raise MaterialError("occupancy must lie in [0, 1]")
+    require(occupancy, "occupancy", UNIT)
     e_off = coulomb_field(r, mat)
     s = screening_fraction(r)
     f0q = HBAR * mat.gamma * (1.0 - s * occupancy) * mat.b_q * e_off
@@ -179,9 +165,7 @@ def donor_field(r: float, occupancy: float, mat: MaterialRecord) -> FieldPoint:
 def hyperfine_field_instant(r: float, mat: MaterialRecord) -> float:
     """Instant hyperfine field b_e*(a0*) exp(-2 (r/a0* - 1)), in T (r in a0* units)."""
     anchor = mat.require_hyperfine_field()
-    if not r >= 0.0:           # written so that NaN fails too
-        raise MaterialError("radius must be non-negative")
-    return anchor * math.exp(-2.0 * (r - 1.0))
+    return anchor * math.exp(-2.0 * (require(r, "radius", NON_NEGATIVE) - 1.0))
 
 
 # --- EFG frame transformation -------------------------------------------
@@ -228,12 +212,13 @@ def efg_crystal_frame(e_field: np.ndarray, r14: float) -> np.ndarray:
 
 def efg_transform(e_field: np.ndarray, geometry: Geometry, r14: float) -> EfgComponents:
     """Closed-form gradient components in the magnetic-field frame."""
-    ex, ey, ez = np.asarray(e_field, dtype=float)
+    ex, ey, ez = require(e_field, "e_field", FINITE)
+    r14 = require(r14, "r14", FINITE)
     st, ct = math.sin(geometry.theta_b), math.cos(geometry.theta_b)
     s2t, c2t = math.sin(2 * geometry.theta_b), math.cos(2 * geometry.theta_b)
     sp, cp = math.sin(geometry.phi_b), math.cos(geometry.phi_b)
     s2p, c2p = math.sin(2 * geometry.phi_b), math.cos(2 * geometry.phi_b)
-    return EfgComponents(
+    components = EfgComponents(
         xx=r14 * (-s2t * sp * ex - s2t * cp * ey + ct * ct * s2p * ez),
         yy=r14 * (-s2p * ez),
         zz=r14 * (s2t * sp * ex + s2t * cp * ey + st * st * s2p * ez),
@@ -241,6 +226,9 @@ def efg_transform(e_field: np.ndarray, geometry: Geometry, r14: float) -> EfgCom
         xz=r14 * (c2t * sp * ex + c2t * cp * ey + 0.5 * s2t * s2p * ez),
         xy=r14 * (-st * cp * ex + st * sp * ey + ct * c2p * ez),
     )
+    if not all(map(math.isfinite, components)):
+        raise NumericalError("EFG components are out of float range; check e_field and r14")
+    return components
 
 
 def field_direction(theta: float, phi: float) -> np.ndarray:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import BracketError, MaterialError, NumericalError
 from .materials import MaterialRecord
-from .numerics import MAX_STEPS, all_true, any_true, as_operand
+from .numerics import (FINITE, MAX_STEPS, NON_NEGATIVE, NON_NEGATIVE_FINITE, POSITIVE,
+                       POSITIVE_FINITE, UNIT, UNIT_BELOW_ONE, UNIT_OPEN, any_true, require)
 
 #: below this donor occupancy, bulk spin diffusion dominates the nuclear
 #: polarization and the local steady-state model loses validity
@@ -54,9 +55,7 @@ def occupancy(free_density: float, mat: MaterialRecord) -> KineticState:
     is the spin-exchange time 1/(sigma_exchange * v * n_f), infinite at
     n_f = 0.
     """
-    # written so that NaN fails too
-    if not 0.0 <= free_density < math.inf:
-        raise MaterialError("free-electron density must be non-negative and finite")
+    require(free_density, "free-electron density", NON_NEGATIVE_FINITE)
     tau_r = mat.recombination_time
     capture_rate = mat.sigma_capture * mat.velocity * free_density
     gamma_t = capture_rate * tau_r / (1.0 + capture_rate * tau_r)
@@ -76,9 +75,7 @@ def occupancy(free_density: float, mat: MaterialRecord) -> KineticState:
 
 def state_for_occupancy(gamma_t: float, mat: MaterialRecord) -> KineticState:
     """Kinetic state whose steady occupancy equals gamma_t (fixed tau_r)."""
-    if not 0.0 <= gamma_t < 1.0:
-        raise MaterialError("occupancy must lie in [0, 1)")
-    if gamma_t == 0.0:
+    if require(gamma_t, "occupancy", UNIT_BELOW_ONE) == 0.0:
         return occupancy(0.0, mat)
     capture = (1.0 - gamma_t) * mat.sigma_capture * mat.velocity * mat.recombination_time
     n_f = gamma_t / capture if capture else math.inf
@@ -93,10 +90,8 @@ def state_for_occupancy(gamma_t: float, mat: MaterialRecord) -> KineticState:
 
 def telegraph_values(occ: float, screening: float) -> tuple[float, float]:
     """Fractional field modulation (h_empty, h_occupied); zero mean by weight."""
-    if not 0.0 <= occ <= 1.0:
-        raise MaterialError("occupancy must lie in [0, 1]")
-    if not 0.0 <= screening < 1.0:
-        raise MaterialError("screening must lie in [0, 1)")
+    require(occ, "occupancy", UNIT)
+    require(screening, "screening", UNIT_BELOW_ONE)
     denom = 1.0 - screening * occ
     return screening * occ / denom, -screening * (1.0 - occ) / denom
 
@@ -113,9 +108,8 @@ def dwell_occupancy(tau_occupied: float, tau_empty: float) -> float:
     The two dwell times fix the telegraph process completely; this is the
     fraction of time it spends occupied.
     """
-    # written so that NaN fails too
-    if not (0.0 < tau_occupied < math.inf and 0.0 < tau_empty < math.inf):
-        raise MaterialError("dwell times must be positive and finite")
+    require(tau_occupied, "dwell times", POSITIVE_FINITE)
+    require(tau_empty, "dwell times", POSITIVE_FINITE)
     return tau_occupied / (tau_occupied + tau_empty)
 
 
@@ -128,16 +122,18 @@ def telegraph_p_matrix(tau: float, tau_occupied: float, tau_empty: float) -> np.
     1/tau_occupied + 1/tau_empty.
     """
     occ = dwell_occupancy(tau_occupied, tau_empty)
+    lag = require(abs(tau), "|tau|", NON_NEGATIVE)
     stationary = np.array([1.0 - occ, occ])
-    decay = math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
+    decay = math.exp(-lag * (1.0 / tau_occupied + 1.0 / tau_empty))
     return stationary[None, :] + (np.eye(2) - stationary[None, :]) * decay
 
 
 def telegraph_correlation(tau: float, screening: float,
                           tau_occupied: float, tau_empty: float) -> float:
     """Exact autocorrelation of the field modulation at lag tau."""
+    lag = require(abs(tau), "|tau|", NON_NEGATIVE)
     amplitude = telegraph_amplitude(dwell_occupancy(tau_occupied, tau_empty), screening)
-    return amplitude * math.exp(-abs(tau) * (1.0 / tau_occupied + 1.0 / tau_empty))
+    return amplitude * math.exp(-lag * (1.0 / tau_occupied + 1.0 / tau_empty))
 
 
 #: fewest dwell events :func:`simulate_telegraph` accepts
@@ -284,11 +280,8 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
         raise MaterialError(f"need at least 2 lags to fit a decay, got {n_lags}")
     if n_blocks < 2:
         raise MaterialError(f"need at least 2 blocks for a standard error, got {n_blocks}")
-    if not (math.isfinite(samples_per_dwell) and samples_per_dwell > 0.0):
-        raise MaterialError(
-            f"samples per dwell must be finite and positive, got {samples_per_dwell}")
-    if not 0.0 < screening < 1.0:
-        raise MaterialError("simulation needs a nonzero modulation depth")
+    require(samples_per_dwell, "samples per dwell", POSITIVE_FINITE)
+    require(screening, "screening (the modulation depth)", UNIT_OPEN)
     occ = dwell_occupancy(tau_occupied, tau_empty)
     rng = np.random.default_rng(seed)
     first_occupied = bool(rng.random() < occ)
@@ -414,10 +407,14 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
 
 def spectral_density(omega: float, amplitude: float, tau_c: float) -> float:
     """Lorentzian spectral density 2 * amplitude * tau_c / (1 + omega^2 tau_c^2)."""
-    if not 0.0 < tau_c < math.inf:      # written so that NaN fails too
-        raise MaterialError("correlation time must be positive and finite")
+    require(omega, "omega", FINITE)
+    require(amplitude, "amplitude", FINITE)
+    require(tau_c, "correlation time", POSITIVE_FINITE)
     x = omega * tau_c     # x * x, unlike x ** 2, overflows to inf and J to 0
-    return 2.0 * amplitude * tau_c / (1.0 + x * x)
+    density = 2.0 * amplitude * tau_c / (1.0 + x * x)
+    if not abs(density) < math.inf:
+        raise NumericalError(f"spectral density at tau_c = {tau_c:g} s is out of float range")
+    return density
 
 
 # --- excitation power map ---------------------------------------------------
@@ -440,18 +437,6 @@ def power_scale(mat: MaterialRecord) -> float:
             * mat.acceptor_density * mat.donor_density)
 
 
-def _free_density(gamma_t, mat: MaterialRecord):
-    capture = mat.sigma_capture * mat.velocity
-    denom = capture * (1.0 - gamma_t) - mat.bimolecular_k * gamma_t
-    if any_true(denom <= 0.0):
-        raise MaterialError(
-            f"capture-limited ceiling exceeded: occupancy {np.max(gamma_t)} is not "
-            f"reachable (max {gamma_ceiling(mat):.6f})"
-        )
-    return (mat.bimolecular_k * gamma_t
-            * (mat.acceptor_density + gamma_t * mat.donor_density) / denom)
-
-
 def power_map(gamma_t, mat: MaterialRecord) -> PowerPoint:
     """Excitation power density that sustains donor occupancy gamma_t.
 
@@ -459,16 +444,17 @@ def power_map(gamma_t, mat: MaterialRecord) -> PowerPoint:
     follows from the trapping balance, the hole population from charge
     neutrality, and the generation rate from the free-electron budget;
     power is the generation rate times (diffusion length * photon
-    energy).  The compact approximation valid for N_D << N_A is exposed
-    separately as :func:`power_closed_form`.  Takes a float or an array
-    of occupancies; the fields follow suit (p0 stays a float).
+    energy).  Takes a float or an array of occupancies; the fields follow
+    suit (p0 stays a float).
     """
-    if not isinstance(gamma_t, float):
-        gamma_t = as_operand(gamma_t)
-    if not all_true((0.0 < gamma_t) & (gamma_t < 1.0)):
-        raise MaterialError("occupancy must lie strictly inside (0, 1)")
+    gamma_t = require(gamma_t, "occupancy", UNIT_OPEN)
     capture = mat.sigma_capture * mat.velocity
-    n_f = _free_density(gamma_t, mat)
+    denom = capture * (1.0 - gamma_t) - mat.bimolecular_k * gamma_t
+    if any_true(denom <= 0.0):
+        raise MaterialError(f"capture-limited ceiling exceeded: occupancy {np.max(gamma_t)} "
+                            f"is not reachable (max {gamma_ceiling(mat):.6f})")
+    n_f = (mat.bimolecular_k * gamma_t
+           * (mat.acceptor_density + gamma_t * mat.donor_density) / denom)
     generation = n_f * (
         (capture * (1.0 - gamma_t) + mat.bimolecular_k * gamma_t) * mat.donor_density
         + mat.bimolecular_k * (n_f + mat.acceptor_density)
@@ -480,18 +466,6 @@ def power_map(gamma_t, mat: MaterialRecord) -> PowerPoint:
         xi=xi,
         free_density=n_f,
     )
-
-
-def power_closed_form(gamma_t: float, mat: MaterialRecord) -> float:
-    """Compact power law P0 [gamma + xi N_A/N_D] / (1 - xi)^2 (N_D << N_A limit)."""
-    if not 0.0 < gamma_t < 1.0:
-        raise MaterialError("occupancy must lie strictly inside (0, 1)")
-    capture = mat.sigma_capture * mat.velocity
-    xi = (mat.bimolecular_k / capture) * gamma_t / (1.0 - gamma_t)
-    if xi >= 1.0:
-        raise MaterialError("capture-limited ceiling exceeded")
-    ratio = mat.acceptor_density / mat.donor_density
-    return power_scale(mat) * (gamma_t + xi * ratio) / (1.0 - xi) ** 2
 
 
 #: relative power mismatch at which invert_power stops
@@ -509,9 +483,7 @@ def invert_power(power, mat: MaterialRecord):
     or an array, bisected in lockstep through the same midpoints, so both
     give identical occupancies.
     """
-    power = as_operand(power)
-    if not all_true(power > 0.0):
-        raise MaterialError("power must be positive")
+    power = require(power, "power", POSITIVE)
     lo, hi = 1e-16, gamma_ceiling(mat) * (1.0 - 1e-14)
     resolved = 4.0 * sys.float_info.epsilon      # bracket width relative to hi
     floor = power_map(lo, mat).power

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 from importlib import resources
 
 from .errors import MaterialError, MissingParameterError
+from .numerics import POSITIVE_FINITE, require
 
 # CODATA 2022 values, as scipy.constants gives them (pinned by a test)
 E_CHARGE = 1.602176634e-19          # C
@@ -98,10 +99,7 @@ class MaterialRecord:
         if self.hyperfine_field_bohr is not None:
             positive += ("hyperfine_field_bohr",)
         for key in positive:
-            # written so that NaN fails too
-            if not 0.0 < getattr(self, key) < math.inf:
-                raise MaterialError(
-                    f"{self.name or '<record>'}: {key} must be positive and finite")
+            require(getattr(self, key), f"{self.name or '<record>'}: {key}", POSITIVE_FINITE)
         if self.acceptor_density <= self.donor_density:
             # partially compensated n-type material is outside the model
             raise MaterialError(

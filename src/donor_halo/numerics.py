@@ -1,10 +1,14 @@
-"""Float-or-array inputs for the kernels and the package's one quadrature rule.
+"""Float-or-array inputs, the one interval guard, and the one quadrature rule.
 
 The scalar kernels (``screening_fraction``, ``radial_profile``, ``p_point``,
 ``p_avg``, ``power_map``) take either a float or an array.  A float runs
 through :mod:`math` at scalar speed and returns a float; an array runs
 through numpy elementwise.  :func:`as_operand` makes that split once per
 call.
+
+Every float input of the computing modules passes :func:`require` with one
+of the intervals below (NaN lies in none); counts, shapes and spin levels
+are checked where used, and outputs past the float range raise NumericalError.
 
 Every integral the package evaluates (the nuclear field, and the
 quadrature oracles) has a smooth integrand on a finite interval.
@@ -16,9 +20,13 @@ imports NumPy's Legendre module to compute them.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable
 
 import numpy as np
+
+from .errors import MaterialError
 
 #: steps of phi^-1 and of the power bisection before they give up
 MAX_STEPS = 200
@@ -37,9 +45,38 @@ def any_true(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def all_true(mask) -> bool:
-    """Whether a comparison of floats or arrays holds everywhere."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+#: the intervals of :func:`require`, as (lo, hi, words): both bounds are
+#: closed, and an open end is the next float inward
+_MAX, _BELOW_ONE = sys.float_info.max, math.nextafter(1.0, 0.0)
+POSITIVE = (5e-324, math.inf, "positive")
+POSITIVE_FINITE = (5e-324, _MAX, "positive and finite")
+NON_NEGATIVE = (0.0, math.inf, "non-negative")
+NON_NEGATIVE_FINITE = (0.0, _MAX, "non-negative and finite")
+FINITE = (-_MAX, _MAX, "finite")
+UNIT = (0.0, 1.0, "in [0, 1]")
+UNIT_BELOW_ONE = (0.0, _BELOW_ONE, "in [0, 1)")
+UNIT_OPEN = (5e-324, _BELOW_ONE, "in (0, 1)")
+POLAR = (0.0, math.pi, "in [0, pi]")
+AZIMUTH = (0.0, math.nextafter(2.0 * math.pi, 0.0), "in [0, 2*pi)")
+
+
+def require(value, what: str, interval: tuple[float, float, str]):
+    """value, a float or else as_operand(value), if all of it lies in interval.
+
+    Else MaterialError "{what} must be {words}, got {the first value outside}".
+    """
+    lo, hi, words = interval
+    if isinstance(value, float):
+        if lo <= value <= hi:
+            return value
+    elif isinstance(value := as_operand(value), float):
+        return require(value, what, interval)
+    else:
+        inside = (lo <= value) & (value <= hi)
+        if inside.all():
+            return value
+        value = value[~inside][0]
+    raise MaterialError(f"{what} must be {words}, got {value}")
 
 
 #: the positive half of the 24-point Gauss-Legendre rule on [-1, 1], nodes

@@ -22,12 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MaterialError, NumericalError
-from .fields import (Geometry, log_screening_fraction, screening_density,
-                     screening_fraction)
+from .fields import Geometry, _log_screening, screening_density, screening_fraction
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
                        power_map, power_scale)
 from .materials import MaterialRecord
-from .numerics import as_operand, gauss_legendre
+from .numerics import FINITE, POSITIVE_FINITE, UNIT_OPEN, gauss_legendre, require
 from .relaxation import (_LOG_FLOAT_MAX, intrinsic_ratio, log_radial_profile,
                          radial_profile_inverse, rates)
 
@@ -41,20 +40,8 @@ RHO_D_REFERENCE = 1.4
 A_STAR = 1.811442418380441
 
 
-def _positive_finite(value, what: str):
-    """value (float or array) as an operand; MaterialError unless 0 < value < inf."""
-    if isinstance(value, float):
-        if 0.0 < value < math.inf:
-            return value
-    else:
-        value = as_operand(value)
-        if np.all((0.0 < value) & (value < math.inf)):
-            return value
-    raise MaterialError(f"{what} must be positive and finite")
-
-
 def _angular_denominator(theta):
-    theta = as_operand(theta)
+    theta = require(theta, "theta", FINITE)
     cos = math.cos if isinstance(theta, float) else np.cos
     return 1.0 + 3.0 * cos(theta) ** 2
 
@@ -75,7 +62,7 @@ def p_point(r, theta, f0):
     finite for every positive float r and f0, never above 1, and exactly
     1 where f exceeds e^700.  Takes floats or arrays (broadcast together).
     """
-    r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
+    f0 = require(f0, "f0", POSITIVE_FINITE)
     log_phi, denominator = log_radial_profile(r), _angular_denominator(theta)
     if isinstance(log_phi, float) and isinstance(f0, float) and isinstance(denominator, float):
         f = math.exp(min(math.log(f0) + log_phi - math.log(denominator), _LOG_RATIO_CAP))
@@ -92,8 +79,7 @@ def p_avg(r, f0):
     floats, and a is built from its log as in :func:`p_point`.  Takes
     floats or arrays.
     """
-    r, f0 = _positive_finite(r, "r and f0"), _positive_finite(f0, "r and f0")
-    log_a = _log(f0) + log_radial_profile(r)
+    log_a = _log(require(f0, "f0", POSITIVE_FINITE)) + log_radial_profile(r)
     if isinstance(log_a, float):
         a = math.exp(min(log_a, _LOG_RATIO_CAP))
         t = math.sqrt(3.0 / (1.0 + a))
@@ -103,19 +89,13 @@ def p_avg(r, f0):
     return a / (1.0 + a) * (np.arctan(t) / t)
 
 
-def _radius_where(f0, a):
-    """phi^-1(a / f0): the radius where f0 * phi(r) = a."""
-    f0 = _positive_finite(f0, "f0")
-    return radial_profile_inverse(_log(a) - _log(f0))
-
-
 def quadrupolar_radius(f0):
     """Radius where the sphere-averaged polarization crosses one half.
 
     That is phi^-1(A_STAR / f0): unique because phi decreases
     monotonically with distance (a0* units).  Takes a float or an array.
     """
-    return _radius_where(f0, A_STAR)
+    return radial_profile_inverse(math.log(A_STAR) - _log(require(f0, "f0", POSITIVE_FINITE)))
 
 
 def half_polarization_radius(theta, f0):
@@ -123,7 +103,8 @@ def half_polarization_radius(theta, f0):
 
     That is phi^-1((1 + 3 cos^2 theta) / f0).
     """
-    return _radius_where(f0, _angular_denominator(theta))
+    log_a = _log(_angular_denominator(theta))
+    return radial_profile_inverse(log_a - _log(require(f0, "f0", POSITIVE_FINITE)))
 
 
 @dataclass(frozen=True)
@@ -143,9 +124,8 @@ class RadialProfile:
 def profile(f0: float, r_grid: np.ndarray, rho_d: float | None = None) -> RadialProfile:
     """Tabulate the three polarization curves on a radial grid."""
     grid = np.asarray(r_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0) \
-            or grid[0] <= 0.0:
-        raise MaterialError("r_grid must be 1-D, positive and strictly increasing")
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
+        raise MaterialError("r_grid must be 1-D and strictly increasing")
     rho_q = quadrupolar_radius(f0)
     return RadialProfile(
         r_grid=grid,
@@ -155,7 +135,7 @@ def profile(f0: float, r_grid: np.ndarray, rho_d: float | None = None) -> Radial
         f0=f0,
         rho_q=rho_q,
         s_at_rho_q=screening_fraction(rho_q),
-        rho_d=rho_d,
+        rho_d=rho_d if rho_d is None else require(rho_d, "rho_d", POSITIVE_FINITE),
     )
 
 
@@ -263,15 +243,13 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     a closed-form end past which each channel is below D/2; a root past
     the largest float raises NumericalError.
     """
-    diffusion_constant = _positive_finite(diffusion_constant, "diffusion constant")
+    require(diffusion_constant, "diffusion constant", POSITIVE_FINITE)
     log_quad = -math.inf      # log 2/f0; without the quadrupolar channel, -inf
     if include_quadrupolar:
         if f0 is None:
-            occ = state.occupancy
-            if not 0.0 < occ < 1.0:
-                raise MaterialError("quadrupolar channel needs partial occupancy")
+            occ = require(state.occupancy, "occupancy", UNIT_OPEN)
             f0 = intrinsic_ratio(mat) / (occ * (1.0 - occ))
-        log_quad = _LOG_2 - math.log(_positive_finite(f0, "f0"))
+        log_quad = _LOG_2 - math.log(require(f0, "f0", POSITIVE_FINITE))
     rate_bohr = _hyperfine_rate(1.0, state, b_field, mat)
     if not rate_bohr > 0.0:
         return DiffusionRadius(value=None, has_solution=False)
@@ -280,7 +258,7 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     def balance(u: float) -> tuple[float, float]:
         """L and dL/du at r = e^u."""
         r = math.exp(u)
-        log_s = log_screening_fraction(r)
+        log_s = _log_screening(2.0 * r)
         hyper = 2.0 * u - 4.0 * (r - 1.0)       # log r^2 e^{-4(r-1)}
         quad = log_quad + 2.0 * (log_s - u)     # log 2 s^2 / (f0 r^2)
         total = max(hyper, quad) + math.log1p(math.exp(-abs(hyper - quad)))
@@ -333,9 +311,9 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
     The diffusion cap is RHO_D_REFERENCE.  With quadrupolar=False the
     radius saturates at that cap, the no-relaxation ceiling.
     """
-    grid = np.asarray(p_over_p0, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0):
-        raise MaterialError("power grid must be 1-D and positive")
+    grid = require(p_over_p0, "P/P0", POSITIVE_FINITE)
+    if np.ndim(grid) != 1 or grid.size == 0:
+        raise MaterialError("power grid must be 1-D and non-empty")
     f00 = intrinsic_ratio(mat)
     occ = invert_power(grid * power_scale(mat), mat)
     nf = power_map(occ, mat).free_density

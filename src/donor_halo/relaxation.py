@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaterialError, NumericalError
-from .fields import (Geometry, donor_field, hyperfine_field_instant,
-                     log_screening_fraction)
+from .fields import Geometry, _log_screening, donor_field, hyperfine_field_instant
 from .kinetics import KineticState, spectral_density
 from .materials import MaterialRecord
-from .numerics import MAX_STEPS, all_true, as_operand
+from .numerics import (FINITE, MAX_STEPS, NON_NEGATIVE_FINITE, POSITIVE_FINITE, UNIT_OPEN,
+                       require)
 from .spin_algebra import angular_factor, transition_moment
 
 
@@ -59,12 +59,14 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
     is proportional to occ and the square of the instant hyperfine
     field, at the electron flip-flop frequency gamma_e B.
     """
-    if not b_field >= 0.0:      # written so that NaN fails too
-        raise MaterialError("b_field must be non-negative")
+    require(b_field, "b_field", NON_NEGATIVE_FINITE)
     occ = state.occupancy
     point = donor_field(r, occ, mat)
     omega_1 = mat.gamma * b_field
     omega_2 = 2.0 * omega_1
+    omega_h = mat.gamma_e * b_field
+    if not max(omega_2, omega_h) < math.inf:
+        raise NumericalError(f"Larmor frequencies at B = {b_field:g} T are out of float range")
     # modulation amplitude: the full ionized-donor field times s(r)
     coupling = mat.gamma * mat.b_q * point.e_off * point.screening
     k1 = angular_factor(1, geometry.theta, mat.spin)
@@ -73,7 +75,6 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
         k1 * spectral_density(omega_1, 1.0, state.tau_quad)
         + k2 * spectral_density(omega_2, 1.0, state.tau_quad)
     )
-    omega_h = mat.gamma_e * b_field
     b_e = hyperfine_field_instant(r, mat)
     if math.isinf(state.tau_hyper):
         inv_t1h = 0.0
@@ -90,18 +91,17 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def log_radial_profile(r):
-    """log phi(r) = 4 - 4r + 4 log r - 2 log s(r), finite for every positive float r.
+    """log phi(r) = 4 - 4r + 4 log r - 2 log s(r) for positive finite r.
 
     phi(r) = e^{-4(r-1)} r^4 / s(r)^2 is the radial factor of the rate
     ratio (r in a0* units): it diverges at the donor (the modulated field
     vanishes faster than the hyperfine one) and decreases monotonically
-    outward.  Takes a float or an array.
+    outward.  log phi is finite up to r = 4.5e307 and -inf past it, where
+    phi is 0 in floats.  Takes a float or an array.
     """
-    if not isinstance(r, float):
-        r = as_operand(r)
-    log_s = log_screening_fraction(r)     # raises unless r > 0
+    r = require(r, "radius", POSITIVE_FINITE)
     log = math.log if isinstance(r, float) else np.log
-    return 4.0 - 4.0 * r + 4.0 * log(r) - 2.0 * log_s
+    return 4.0 - 4.0 * r + 4.0 * log(r) - 2.0 * _log_screening(2.0 * r)
 
 
 def radial_profile(r):
@@ -115,7 +115,7 @@ def radial_profile(r):
     if isinstance(log_phi, float):
         if log_phi <= _LOG_FLOAT_MAX:
             return math.exp(log_phi)
-    elif all_true(log_phi <= _LOG_FLOAT_MAX):
+    elif (log_phi <= _LOG_FLOAT_MAX).all():
         return np.exp(log_phi)
     raise NumericalError("phi(r) exceeds the float range for r below about 4e-154 a0*; "
                          "use log_radial_profile")
@@ -131,6 +131,9 @@ _LOG_R_START_MAX = math.log(8.0)
 #: phi^-1 starts from r = -log_target / 4, which the capped steps from
 #: r = 8 do not reach for targets below about -1e170
 _FAR_LOG_TARGET = -1e3
+#: log targets of phi^-1: log phi(5e-324) = 1492.3, so past 1490 the root
+#: is below the smallest float
+_LOG_TARGETS = (-sys.float_info.max, 1490.0, "finite and at most 1490")
 #: largest Newton step of phi^-1, in log r
 _MAX_LOG_STEP = 2.0
 #: relative size (of u, or of 1 near u = 0) of a step or a bracket that
@@ -146,7 +149,7 @@ def _log_profile_on_log_r(u):
     """
     exp = math.exp if isinstance(u, float) else np.exp
     r = exp(u)
-    log_s = log_screening_fraction(r)
+    log_s = _log_screening(2.0 * r)
     return (4.0 - 4.0 * r + 4.0 * u - 2.0 * log_s,
             4.0 - 4.0 * r - exp(3.0 * (u + _LOG_2) - 2.0 * r - log_s))
 
@@ -155,21 +158,19 @@ def radial_profile_inverse(log_target):
     """Radius where log phi(r) equals log_target, for a float or an array.
 
     phi decreases strictly from +inf at the donor to 0 far away, so each
-    finite log target has one root; it is found for every finite log
-    target up to about 1490 (the radii pass -710 to 746).  The search runs
-    on u = log r, where log phi is smooth.  It starts from the near-donor
-    asymptote (capped at r = 8), or for log targets below -1000 from the
-    far-field root r = -log_target / 4, takes Newton steps clipped to +-2,
-    learns a bracket from the signs of log phi - log_target, and bisects
-    only where a step leaves a bracket whose two ends are both known.  It
-    stops when the step or the bracket is a few ulps of u, so r is found
-    to a few 1e-16 relative for the radii, and far out to the rounding of
-    u itself (3e-14 at r = 1e299).  An array runs the same iteration in
-    lockstep; each element freezes once it has converged.
+    finite log target has one root; a target above 1490 (the radii pass
+    -710 to 746), whose root is below the smallest float, is refused.  The
+    search runs on u = log r, where log phi is smooth.  It starts from the
+    near-donor asymptote (capped at r = 8), or for log targets below -1000
+    from the far-field root r = -log_target / 4, takes Newton steps clipped
+    to +-2, learns a bracket from the signs of log phi - log_target, and
+    bisects only where a step leaves a bracket whose two ends are both
+    known.  It stops when the step or the bracket is a few ulps of u, so r
+    is found to a few 1e-16 relative for the radii, and far out to the
+    rounding of u itself (3e-14 at r = 1e299).  An array runs the same
+    iteration in lockstep; each element freezes once it has converged.
     """
-    log_t = as_operand(log_target)
-    if not all_true(abs(log_t) < math.inf):
-        raise MaterialError("phi^-1 needs a finite log target")
+    log_t = require(log_target, "log target", _LOG_TARGETS)
     if isinstance(log_t, float):
         lo, hi = -math.inf, math.inf
         if log_t < _FAR_LOG_TARGET:
@@ -246,16 +247,11 @@ def competition(r: float, theta: float, state: KineticState,
     densities sit on their zero-frequency plateaus; there the raw rate
     quotient from :func:`rates` equals this factorization identically.
     """
-    occ = state.occupancy
-    if not 0.0 < occ < 1.0:
-        raise MaterialError(
-            "competition is defined for partial occupancy only (quadrupolar "
-            "relaxation switches off at occupancy 0 or 1)"
-        )
+    occ = require(state.occupancy, "occupancy", UNIT_OPEN)
     f00 = intrinsic_ratio(mat)
     f0 = f00 / (occ * (1.0 - occ))
     radial = radial_profile(r)
-    angular = 1.0 + 3.0 * math.cos(theta) ** 2
+    angular = 1.0 + 3.0 * math.cos(require(theta, "theta", FINITE)) ** 2
     return CompetitionFactors(f00=f00, f0=f0, radial=radial,
                               angular_denominator=angular,
                               f=f0 * radial / angular)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaterialError, NonPerturbativeRegimeError
-from .fields import Geometry, donor_field, efg_transform
+from .errors import MaterialError, NonPerturbativeRegimeError, NumericalError
+from .fields import Geometry, coulomb_field, donor_field, efg_transform, screening_fraction
 from .materials import E_CHARGE, HBAR, MaterialRecord, _require_half_integer
+from .numerics import FINITE, NON_NEGATIVE_FINITE, POSITIVE_FINITE, UNIT, require
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -122,6 +123,7 @@ def angular_factor(k: int, theta: float, spin: float) -> float:
     if k not in (1, 2):
         raise MaterialError(f"channel k must be 1 or 2, got {k}")
     _require_half_integer(spin)
+    require(theta, "theta", FINITE)
     moment = transition_moment(spin)
     if k == 1:
         return 0.4 * moment * math.sin(theta) ** 2
@@ -189,9 +191,9 @@ def bq_local_field(r: float, occupancy: float, geometry: Geometry,
     form of sqrt{3 Tr(H_Q^2) / [I(I+1)(2I+1) (gamma hbar)^2]}, which
     ``oracles.bq_local_field_trace`` evaluates on the Hamiltonian.
     """
-    point = donor_field(r, occupancy, mat)
+    require(occupancy, "occupancy", UNIT)
     moment = transition_moment(mat.spin)
-    amplitude = mat.b_q * point.e_off * (1.0 - point.screening * occupancy)
+    amplitude = mat.b_q * coulomb_field(r, mat) * (1.0 - screening_fraction(r) * occupancy)
     return math.sqrt(0.8 * moment) * abs(amplitude)
 
 
@@ -202,8 +204,8 @@ def _perturbative_terms(m: float, b_field: float, r: float, geometry: Geometry,
                         occupancy: float, mat: MaterialRecord) -> tuple[float, float, np.ndarray]:
     """(f0q, gamma hbar B, H_Q) for a level shift; raises outside the perturbative regime."""
     spin = mat.spin
-    if b_field <= 0.0:
-        raise MaterialError("b_field must be positive")
+    require(b_field, "b_field", POSITIVE_FINITE)
+    require(m, "m", FINITE)
     if abs(m) > spin + 1e-12 or abs(2.0 * m - round(2.0 * m)) > 1e-12:
         raise MaterialError(f"m = {m} is not a level of spin {spin}")
     f0q = donor_field(r, occupancy, mat).f0q
@@ -253,4 +255,8 @@ def level_shift(m: float, b_field: float, r: float, geometry: Geometry,
 
 def redfield_rate_analytic(spin: float, theta: float, j1: float, j2: float) -> float:
     """Decay rate k1 J1 + k2 J2; the closed form of ``oracles.redfield_rate_superoperator``."""
-    return angular_factor(1, theta, spin) * j1 + angular_factor(2, theta, spin) * j2
+    rate = (angular_factor(1, theta, spin) * require(j1, "j1", NON_NEGATIVE_FINITE)
+            + angular_factor(2, theta, spin) * require(j2, "j2", NON_NEGATIVE_FINITE))
+    if rate == math.inf:
+        raise NumericalError("Redfield rate is out of float range; check j1 and j2")
+    return rate

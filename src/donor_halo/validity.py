@@ -17,6 +17,7 @@ from .errors import MaterialError, NumericalError
 from .fields import Geometry, coulomb_field
 from .kinetics import GAMMA_MIN_DIFFUSION, KineticState
 from .materials import HBAR, MaterialRecord
+from .numerics import NON_NEGATIVE_FINITE, POSITIVE_FINITE, require
 from .spin_algebra import bq_local_field, second_order_shift
 
 
@@ -30,8 +31,8 @@ class LocalFields:
 def local_fields(b_field: float, r: float, occupancy: float, geometry: Geometry,
                  mat: MaterialRecord, margin: float = 10.0) -> LocalFields:
     """High-field check against the combined local fields (NumericalError out of float range)."""
-    if b_field <= 0.0 or margin <= 0.0:
-        raise MaterialError("b_field and margin must be positive")
+    require(b_field, "b_field", POSITIVE_FINITE)
+    require(margin, "margin", POSITIVE_FINITE)
     try:
         b_q = bq_local_field(r, occupancy, geometry, mat)
         squared = mat.local_field ** 2 + b_q * b_q
@@ -93,21 +94,22 @@ def spin_temperature_eta(mat: MaterialRecord) -> float:
 
 def spin_temperature_limit(b_field: float, mat: MaterialRecord) -> SpinTemperatureLimit:
     """Radius outside which a nuclear spin temperature exists at this field."""
-    if b_field <= 0.0:
-        raise MaterialError("b_field must be positive")
+    require(b_field, "b_field", POSITIVE_FINITE)
     eta = spin_temperature_eta(mat)
     return SpinTemperatureLimit(eta=eta, r_q=eta * b_field ** -0.2, b_field=b_field)
 
 
 def field_threshold(r_m: float, eta: float) -> float:
     """Field above which the spin-temperature hypothesis holds at radius r: (eta/r)^5."""
-    if r_m <= 0.0:
-        raise MaterialError("radius must be positive")
+    require(r_m, "radius", POSITIVE_FINITE)
     try:
-        return (eta / r_m) ** 5
+        threshold = (require(eta, "eta", POSITIVE_FINITE) / r_m) ** 5
     except OverflowError:
+        threshold = math.inf
+    if threshold == math.inf:
         raise NumericalError(f"spin-temperature field threshold at r = {r_m:g} m is "
-                             "out of float range") from None
+                             "out of float range")
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,8 @@ class MotionalRegime:
 
 def motional_regime(b_field: float, state: KineticState,
                     mat: MaterialRecord) -> MotionalRegime:
-    """Products omega * tau_c for the three fluctuation channels."""
-    if not b_field >= 0.0:      # written so that NaN fails too
-        raise MaterialError("b_field must be non-negative")
-    w1 = mat.gamma * b_field * state.tau_quad
+    """Products omega * tau_c for the three channels; inf past the float range."""
+    w1 = mat.gamma * require(b_field, "b_field", NON_NEGATIVE_FINITE) * state.tau_quad
     wh = 0.0 if math.isinf(state.tau_hyper) else mat.gamma_e * b_field * state.tau_hyper
     return MotionalRegime(
         omega1_tau=w1, omega2_tau=2.0 * w1, omegah_tau=wh,

@@ -65,6 +65,9 @@ def _rates(r, mat):
     (lambda mat: spectral_density(1e9, 1.0, math.inf), MaterialError),
     (lambda mat: spectral_density(0.0, 1.0, math.inf), MaterialError),
     (lambda mat: _rates(math.nan, mat), MaterialError),
+    (lambda mat: screening_density(-1.0), MaterialError),
+    (lambda mat: screening_density(math.nan), MaterialError),
+    (lambda mat: screening_density(np.array([0.5, -1.0])), MaterialError),
     (lambda mat: screening_fraction(1e154), 1.0),
     (lambda mat: screening_fraction(math.inf), 1.0),
     (lambda mat: list(screening_fraction(np.array([1e154, math.inf]))), [1.0, 1.0]),
@@ -73,11 +76,13 @@ def _rates(r, mat):
     (lambda mat: list(screening_density(np.array([1e154, math.inf]))), [0.0, 0.0]),
     (lambda mat: _rates(1e200, mat).inv_t1q, 0.0),
 ], ids=["s-nan", "s-array-nan", "coulomb-nan", "hyperfine-nan", "spectral-inf-tau",
-        "spectral-inf-tau-dc", "rates-nan", "s-far", "s-inf", "s-array-far",
+        "spectral-inf-tau-dc", "rates-nan", "density-negative", "density-nan",
+        "density-array-negative", "s-far", "s-inf", "s-array-far",
         "density-far", "density-inf", "density-array-far", "rates-far"])
 def test_kernels_refuse_nan_and_keep_the_far_field_limits(call, expect, gaas):
-    # NaN and an infinite correlation time are refused; far out s(r) = 1 and the
-    # density is 0 exactly, where x^2 overflowed and inf * 0 gave NaN
+    # NaN, a negative density radius and an infinite correlation time are refused;
+    # far out s(r) = 1 and the density is 0 exactly, where x^2 overflowed and
+    # inf * 0 gave NaN
     if expect is MaterialError:
         with pytest.raises(MaterialError):
             call(gaas)

@@ -5,7 +5,7 @@ import pytest
 
 from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, Geometry, MaterialError,
                         gamma_ceiling, get_material, invert_power, list_materials,
-                        motional_regime, occupancy, power_closed_form, power_map, rates,
+                        motional_regime, occupancy, power_map, rates,
                         simulate_telegraph, spectral_density, state_for_occupancy,
                         telegraph_correlation)
 from donor_halo import kinetics
@@ -147,9 +147,6 @@ def test_power_reference_point(gaas_zeta01):
     assert point.xi == pytest.approx(0.1, rel=1e-12)
     assert point.free_density == pytest.approx(
         (11.0 / 90.0) * gaas_zeta01.acceptor_density, rel=1e-12)
-    # compact (donor-dilute) power law vs the full balance
-    assert power_closed_form(0.5, gaas_zeta01) / point.p0 == pytest.approx(
-        100.0 / 81.0, rel=1e-12)
     assert point.power / point.p0 == pytest.approx(110.0 / 81.0, rel=1e-12)
 
 

@@ -357,6 +357,25 @@ def test_power_sweep_interior_minimum(gaas):
     assert sweep.alpha_n[i0] < ceiling.alpha_n[0]
 
 
+@pytest.mark.parametrize("scale", [0.1, 3.0, 7.3])
+def test_power_sweep_does_not_depend_on_the_diffusion_length(scale):
+    # metamorphic: P and P0 both carry L * h_nu, so on a grid of P/P0 the
+    # diffusion length cancels, and every column stays bit for bit
+    grid = np.geomspace(1e-3, 1e3, 301)
+    names = [name for name in list_materials()
+             if get_material(name).hyperfine_field_bohr is not None]
+    assert names
+    for name in names:
+        mat = get_material(name)
+        scaled = mat.with_overrides(diffusion_length=scale * mat.diffusion_length)
+        base, moved = power_sweep(grid, mat), power_sweep(grid, scaled)
+        for column in ("p_over_p0", "occupancy", "nf_over_na", "s_rho_q", "alpha_n",
+                       "diffusion_flag"):
+            assert np.array_equal(getattr(base, column), getattr(moved, column)), \
+                (name, column)
+        assert (base.f00, base.rho_d) == (moved.f00, moved.rho_d)
+
+
 def test_power_sweep_reference_scale(gaas):
     assert 0.8e6 <= power_scale(gaas) <= 7.2e6
     with pytest.raises(MaterialError):

@@ -161,6 +161,15 @@ def test_radial_profile_inverse_far_from_the_donor(log_target):
     assert radial_profile_inverse(np.array([log_target, -1.0]))[0] == r
 
 
+def test_radial_profile_inverse_refuses_targets_past_the_smallest_float():
+    # log phi(5e-324) = 1492.3: up to 1490 the root is a float; past about
+    # 1492 it is not, and the iteration would meet r = 0
+    assert 0.0 < radial_profile_inverse(1490.0) < 1e-322
+    for log_target in (1490.5, 1e308, np.array([1.0, 1500.0])):
+        with pytest.raises(MaterialError, match="log target must be finite and at most"):
+            radial_profile_inverse(log_target)
+
+
 def test_rates_reject_bad_inputs(gaas):
     state = occupancy(1e21, gaas)
     with pytest.raises(MaterialError):

@@ -222,10 +222,10 @@ def test_amplitude_does_not_depend_on_lag_count(n, seed):
         ({"n_lags": 0}, "at least 2 lags"),
         ({"n_blocks": 1}, "at least 2 blocks"),
         ({"n_blocks": 0}, "at least 2 blocks"),
-        ({"samples_per_dwell": 0.0}, "finite and positive"),
-        ({"samples_per_dwell": -1.0}, "finite and positive"),
-        ({"samples_per_dwell": math.nan}, "finite and positive"),
-        ({"samples_per_dwell": math.inf}, "finite and positive"),
+        ({"samples_per_dwell": 0.0}, "positive and finite"),
+        ({"samples_per_dwell": -1.0}, "positive and finite"),
+        ({"samples_per_dwell": math.nan}, "positive and finite"),
+        ({"samples_per_dwell": math.inf}, "positive and finite"),
     ],
 )
 def test_estimator_rejects_bad_options(options, match):
