@@ -298,16 +298,6 @@ def exact_oracle_suite() -> list[CheckResult]:
 # Monte Carlo telegraph
 # --------------------------------------------------------------------------
 
-#: fewest dwell events ``verify`` accepts.  symmetric-dwell samples its unit
-#: mean dwells 5 times per unit time and needs 64 blocks + 31 lags = 95
-#: samples, i.e. a total time of 19; a sum of 128 unit exponentials stays
-#: below 19 with probability P(Gamma(128, 1) < 19) = 8e-61.  The other
-#: Monte Carlo checks do not shrink with the count: asymmetric-dwell draws
-#: max(n // 5, 10000) dwells, and properties/mc-convergence draws a fixed
-#: 16000 and 256000.
-MIN_DWELL = 128
-
-
 def telegraph_mc_suite(seed: int = 20260810, n_dwell: int = 1_000_000) -> list[CheckResult]:
     def run_mc() -> tuple[bool, str]:
         occ, tau_occ, tau_empty = 0.5, 1.0, 1.0

@@ -18,10 +18,11 @@ materials  list the registry, or dump one record with --material
 
 Each option is declared once, in ``_COMMANDS``.  Its value comes from the
 command line, else the ``--config`` file, else its default, with the same
-parsing, checks and messages.  A config key is an option of the command,
-spelled as on the command line (flags take ``true`` or ``false``), or a
-material field of a command that reads a record (all but ``verify``); any
-other key exits 2.
+parsing and messages; a number must lie in the option's interval, which
+``numerics.require`` checks as it checks every number of the library.  A
+config key is an option of the command, spelled as on the command line
+(flags take ``true`` or ``false``), or a material field of a command that
+reads a record (all but ``verify``); any other key exits 2.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure,
 4 verification failure.  CSV outputs carry a '#' metadata header and
@@ -43,6 +44,7 @@ from .errors import DonorHaloError, MaterialError, NumericalError
 from .fields import Geometry
 from .materials import (MaterialRecord, coerce_field, dump_record, get_material,
                         key_value_lines, list_materials)
+from .numerics import FINITE, POSITIVE_FINITE, require
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,6 +54,17 @@ EXIT_VERIFY = 4
 #: the keys of checks.SUITES, kept here so that building the parser does
 #: not import the verification suites and their oracles
 VERIFY_SUITES = ("exact-oracles", "properties", "reference-numbers", "telegraph-mc")
+#: fewest dwell events ``verify`` accepts.  symmetric-dwell samples its unit
+#: mean dwells 5 times per unit time and needs 64 blocks + 31 lags = 95
+#: samples, i.e. a total time of 19; a sum of 128 unit exponentials stays
+#: below 19 with probability P(Gamma(128, 1) < 19) = 8e-61.  The other
+#: Monte Carlo checks do not shrink with the count: asymmetric-dwell draws
+#: max(n // 5, 10000) dwells, and properties/mc-convergence draws a fixed
+#: 16000 and 256000.
+MIN_DWELL = 128
+#: counts a run may ask for; at the top a run takes seconds and some 100 MB
+_POINTS = (1, 10**6, "in [1, 1000000]")
+_DWELLS = (MIN_DWELL, 10**8, f"in [{MIN_DWELL}, 100000000]")
 
 
 class Option(NamedTuple):
@@ -61,7 +74,7 @@ class Option(NamedTuple):
     parse: Callable[[str], object]         # text -> value; ValueError if malformed
     default: object
     help: str
-    check: Callable[[str, object], None] | None = None
+    interval: tuple[float, float, str] | None = None  # numerics.require's
     choices: tuple[str, ...] | None = None
     repeat: bool = False                   # a list; one item per config key
 
@@ -70,29 +83,6 @@ def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise ValueError(text)
     return text == "true"
-
-
-def _finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise MaterialError(f"{name} must be finite, got {value}")
-
-
-def _positive(name: str, value: float) -> None:
-    _finite(name, value)
-    if value <= 0.0:
-        raise MaterialError(f"{name} must be positive, got {value}")
-
-
-def _at_least(low: int) -> Callable[[str, int], None]:
-    def check(name: str, value: int) -> None:
-        if value < low:
-            raise MaterialError(f"{name} must be at least {low}, got {value}")
-    return check
-
-
-def _enough_dwell(name: str, value: int) -> None:
-    from . import checks   # loads the oracles
-    _at_least(checks.MIN_DWELL)(name, value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,8 +152,8 @@ def _resolve(args: argparse.Namespace, config: dict[str, str]) -> dict[str, obje
             value = configured if value is None else value
         if value is None:
             value = opt.default
-        if opt.check is not None:
-            opt.check(opt.name, value)
+        if opt.interval is not None:
+            require(value, opt.name, opt.interval)
         setattr(args, dest, value)
     for item in getattr(args, "set", ()):
         if "=" not in item:
@@ -200,16 +190,13 @@ def _metadata(command: str, mat: MaterialRecord, overrides: dict[str, object],
     return lines + [f"# {key} = {options[key]}" for key in sorted(options)]
 
 
-def _csv(header: list[str], columns: list[str], rows: list[Sequence[object]]) -> str:
-    out = list(header)
-    out.append(",".join(columns))
-    for row in rows:
+def _csv(header: list[str], columns: dict[str, Sequence[object]]) -> str:
+    out = [*header, ",".join(columns)]
+    for row in zip(*columns.values()):
         cells = []
         for cell in row:
-            if isinstance(cell, (bool, np.bool_)):
+            if isinstance(cell, np.bool_):
                 cells.append("1" if cell else "0")
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
             else:
                 cells.append(f"{float(cell):.12g}")
         out.append(",".join(cells))
@@ -230,8 +217,9 @@ def _cmd_profile(args: argparse.Namespace, overrides: dict[str, object]) -> tupl
     mat = _material(args, overrides)
     grid = np.linspace(args.r_min, args.r_max, args.points)
     prof = polarization.profile(args.f0, grid)
-    _require_finite(r=grid, p_parallel=prof.p_parallel, p_perpendicular=prof.p_perpendicular,
-                    p_avg=prof.p_avg, rho_q=prof.rho_q, s_rho_q=prof.s_at_rho_q)
+    columns = {"r": grid, "p_parallel": prof.p_parallel,
+               "p_perpendicular": prof.p_perpendicular, "p_avg": prof.p_avg}
+    _require_finite(**columns, rho_q=prof.rho_q, s_rho_q=prof.s_at_rho_q)
     options = {
         "f0": args.f0, "r_min": args.r_min, "r_max": args.r_max, "points": args.points,
         "rho_q": f"{prof.rho_q:.9g}", "s_rho_q": f"{prof.s_at_rho_q:.9g}",
@@ -244,16 +232,15 @@ def _cmd_profile(args: argparse.Namespace, overrides: dict[str, object]) -> tupl
              (grid, prof.p_avg, "sphere average")],
             xlabel="distance (a0* units)", ylabel="normalized polarization",
             title=f"{mat.name}: polarization profile, f0={args.f0:g}"), EXIT_OK
-    rows = list(zip(grid, prof.p_parallel, prof.p_perpendicular, prof.p_avg))
-    return _csv(_metadata("profile", mat, overrides, options),
-                ["r", "p_parallel", "p_perpendicular", "p_avg"], rows), EXIT_OK
+    return _csv(_metadata("profile", mat, overrides, options), columns), EXIT_OK
 
 
 def _cmd_radius(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
     """quadrupolar radius sweep"""
     mat = _material(args, overrides)
     table = polarization.radius_sweep(np.geomspace(args.f0_min, args.f0_max, args.points))
-    _require_finite(f0=table[:, 0], rho_q=table[:, 1], s_rho_q=table[:, 2])
+    columns = dict(zip(("f0", "rho_q", "s_rho_q"), table.T))
+    _require_finite(**columns)
     options = {
         "f0_min": args.f0_min, "f0_max": args.f0_max, "points": args.points,
         "calibrated_D": _calibrated_diffusion(mat),
@@ -264,8 +251,7 @@ def _cmd_radius(args: argparse.Namespace, overrides: dict[str, object]) -> tuple
              (table[:, 0], table[:, 2], "s(rho_q)")],
             xlabel="competition amplitude f0", ylabel="radius / screening",
             title=f"{mat.name}: quadrupolar radius", logx=True, logy=True), EXIT_OK
-    return _csv(_metadata("radius", mat, overrides, options),
-                ["f0", "rho_q", "s_rho_q"], [tuple(row) for row in table]), EXIT_OK
+    return _csv(_metadata("radius", mat, overrides, options), columns), EXIT_OK
 
 
 def _cmd_power(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
@@ -275,9 +261,9 @@ def _cmd_power(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[
     sweep = polarization.power_sweep(np.geomspace(args.p_min, args.p_max, args.points), mat,
                                      quadrupolar=quad_on)
     p0 = kinetics.power_scale(mat)
-    _require_finite(p_over_p0=sweep.p_over_p0, occupancy=sweep.occupancy,
-                    nf_over_na=sweep.nf_over_na, s_rho_q=sweep.s_rho_q,
-                    alpha_n=sweep.alpha_n, f00=sweep.f00, p0_W_per_m2=p0)
+    columns = {name: getattr(sweep, name) for name in (
+        "p_over_p0", "occupancy", "nf_over_na", "s_rho_q", "alpha_n", "diffusion_flag")}
+    _require_finite(**columns, f00=sweep.f00, p0_W_per_m2=p0)
     options = {
         "p_min": args.p_min, "p_max": args.p_max, "points": args.points,
         "quadrupolar": quad_on,
@@ -294,11 +280,7 @@ def _cmd_power(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[
              (sweep.p_over_p0, sweep.alpha_n, "alpha_n")],
             xlabel="excitation power (P0 units)", ylabel="dimensionless",
             title=f"{mat.name}: power dependence", logx=True, logy=True), EXIT_OK
-    rows = list(zip(sweep.p_over_p0, sweep.occupancy, sweep.nf_over_na,
-                    sweep.s_rho_q, sweep.alpha_n, sweep.diffusion_flag))
-    return _csv(_metadata("power", mat, overrides, options),
-                ["p_over_p0", "occupancy", "nf_over_na", "s_rho_q",
-                 "alpha_n", "diffusion_flag"], rows), EXIT_OK
+    return _csv(_metadata("power", mat, overrides, options), columns), EXIT_OK
 
 
 def _cmd_validity(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
@@ -351,41 +333,41 @@ _FORMAT = Option("format", str, "csv", "output format", choices=("csv", "svg"))
 
 
 def _grid_points(default: int) -> Option:
-    return Option("points", int, default, "grid points", _at_least(1))
+    return Option("points", int, default, "grid points", _POINTS)
 
 
 _COMMANDS: dict[str, tuple[Callable[..., tuple[str, int]], tuple[Option, ...]]] = {
     "profile": (_cmd_profile, (
         *_COMPUTE, _FORMAT,
-        Option("f0", float, 1e-2, "competition amplitude", _finite),
-        Option("r-min", float, 0.05, "first distance, a0* units", _finite),
-        Option("r-max", float, 3.0, "last distance, a0* units", _finite),
+        Option("f0", float, 1e-2, "competition amplitude", FINITE),
+        Option("r-min", float, 0.05, "first distance, a0* units", FINITE),
+        Option("r-max", float, 3.0, "last distance, a0* units", FINITE),
         _grid_points(120))),
     "radius": (_cmd_radius, (
         *_COMPUTE, _FORMAT,
-        Option("f0-min", float, 1e-4, "lowest competition amplitude", _positive),
-        Option("f0-max", float, 1.0, "highest competition amplitude", _positive),
+        Option("f0-min", float, 1e-4, "lowest competition amplitude", POSITIVE_FINITE),
+        Option("f0-max", float, 1.0, "highest competition amplitude", POSITIVE_FINITE),
         _grid_points(25))),
     "power": (_cmd_power, (
         *_COMPUTE, _FORMAT,
-        Option("p-min", float, 0.1, "lowest power, P0 units", _positive),
-        Option("p-max", float, 100.0, "highest power, P0 units", _positive),
+        Option("p-min", float, 0.1, "lowest power, P0 units", POSITIVE_FINITE),
+        Option("p-max", float, 100.0, "highest power, P0 units", POSITIVE_FINITE),
         _grid_points(31),
         Option("no-quadrupolar", _flag, False,
                "disable the quadrupolar channel (diffusion ceiling only)"))),
     "validity": (_cmd_validity, (
         *_COMPUTE,
-        Option("field", float, 1.0, "magnetic field, T", _finite),
-        Option("r", float, 0.5, "distance, a0* units", _finite),
-        Option("occupancy", float, 0.5, "donor occupancy", _finite),
-        Option("margin", float, 10.0, "high-field margin", _finite))),
+        Option("field", float, 1.0, "magnetic field, T", FINITE),
+        Option("r", float, 0.5, "distance, a0* units", FINITE),
+        Option("occupancy", float, 0.5, "donor occupancy", FINITE),
+        Option("margin", float, 10.0, "high-field margin", FINITE))),
     "verify": (_cmd_verify, (
         _OUT,
-        Option("seed", int, 20260810, "Monte Carlo seed", _at_least(0)),
+        Option("seed", int, 20260810, "Monte Carlo seed", (0, math.inf, "at least 0")),
         Option("suite", str, None, "run only this suite (repeatable; default: all)",
                choices=VERIFY_SUITES, repeat=True),
-        Option("dwell", int, 1_000_000, "Monte Carlo dwell events, at least 128",
-               _enough_dwell))),
+        Option("dwell", int, 1_000_000, f"Monte Carlo dwell events, {_DWELLS[2]}",
+               _DWELLS))),
     "materials": (_cmd_materials, (
         Option("material", str, None, "record to dump (default: list the registry)"),
         _OUT)),

@@ -74,17 +74,19 @@ def screening_fraction(r_bohr):
     r = 1e-8), so there the positive series x^3 e^-x sum x^k/(k+3)! is
     summed instead; above x = 800 it is 1.  Takes a float or an array.
     """
-    x = 2.0 * require(r_bohr, "radius", NON_NEGATIVE)
-    if isinstance(x, float):
+    r = require(r_bohr, "radius", NON_NEGATIVE)
+    if isinstance(r, float):
+        x = 2.0 * r
         if x < 1.0:
             return _cdf_series(x, math)
         x = min(x, _LOG_TAIL_END)
         return -math.expm1(-x) - (x + 0.5 * x * x) * math.exp(-x)
-    tail = np.minimum(x, _LOG_TAIL_END)
+    tail = np.minimum(r, 0.5 * _LOG_TAIL_END)      # clipped before 2r can overflow
+    tail *= 2.0
     out = -np.expm1(-tail) - (tail + 0.5 * tail * tail) * np.exp(-tail)
-    small = x < 1.0
+    small = r < 0.5
     if small.any():
-        out[small] = _cdf_series(x[small], np)
+        out[small] = _cdf_series(2.0 * r[small], np)
     return out
 
 
@@ -109,21 +111,23 @@ def log_screening_fraction(r_bohr):
     stays finite (Maechler, "Accurately computing log(1 - exp(-|a|))",
     2012).  Takes a float or an array.
     """
-    return _log_screening(2.0 * require(r_bohr, "radius", POSITIVE))
+    return _log_screening(require(r_bohr, "radius", POSITIVE))
 
 
-def _log_screening(x):
-    """log s at x = 2r > 0, float or array, with no guard."""
-    if isinstance(x, float):
+def _log_screening(r):
+    """log s at r > 0, float or array, with no guard."""
+    if isinstance(r, float):
+        x = 2.0 * r
         if x < 1.0:
             return 3.0 * math.log(x) - x + math.log(_series_sum(x))
         x = min(x, _LOG_TAIL_END)
         return math.log1p(-(1.0 + x + 0.5 * x * x) * math.exp(-x))
-    tail = np.clip(x, 1.0, _LOG_TAIL_END)
+    tail = np.clip(r, 0.5, 0.5 * _LOG_TAIL_END)    # clipped before 2r can overflow
+    tail *= 2.0
     out = np.log1p(-(1.0 + tail + 0.5 * tail * tail) * np.exp(-tail))
-    small = x < 1.0
+    small = r < 0.5
     if small.any():
-        xs = x[small]
+        xs = 2.0 * r[small]
         out[small] = 3.0 * np.log(xs) - xs + np.log(_series_sum(xs))
     return out
 
@@ -212,7 +216,7 @@ def efg_crystal_frame(e_field: np.ndarray, r14: float) -> np.ndarray:
 
 def efg_transform(e_field: np.ndarray, geometry: Geometry, r14: float) -> EfgComponents:
     """Closed-form gradient components in the magnetic-field frame."""
-    ex, ey, ez = require(e_field, "e_field", FINITE)
+    ex, ey, ez = require(e_field, "e_field", FINITE).tolist()     # floats: no numpy warnings
     r14 = require(r14, "r14", FINITE)
     st, ct = math.sin(geometry.theta_b), math.cos(geometry.theta_b)
     s2t, c2t = math.sin(2 * geometry.theta_b), math.cos(2 * geometry.theta_b)

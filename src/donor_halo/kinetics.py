@@ -302,10 +302,11 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
     for begin in range(0, n_dwell, _CHUNK):
         edges = buf[:min(_CHUNK, n_dwell - begin)]
         rng.standard_exponential(out=edges)
-        edges[0::2] *= even_mean
-        edges[1::2] *= odd_mean
-        edges[0] += total
-        np.cumsum(edges, out=edges)
+        with np.errstate(over="ignore"):    # an infinite total is refused below
+            edges[0::2] *= even_mean
+            edges[1::2] *= odd_mean
+            edges[0] += total
+            np.cumsum(edges, out=edges)
         total = float(edges[-1])
         # every sample index, and the quotients edge / dt that round to
         # them, must fit int64; a product, as dt may underflow to 0

@@ -7,13 +7,16 @@ and the carrier-kinetics parameters entering the excitation-power map.
 
 Records live in a human-editable text file (``data/materials.dat``,
 one ``[name]`` block per record, ``key = value`` lines, SI units).
-Unknown keys are rejected so typos cannot silently change physics.
+:func:`coerce_field` types each value, from the file or an override, and
+rejects unknown keys so typos cannot silently change physics; every
+number a record declares must be positive and finite (``require``).
 Records are immutable after loading and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from importlib import resources
 
@@ -41,8 +44,8 @@ def compute_bq(r14: float, quadrupole_moment: float, spin: float, gamma: float) 
         raise MaterialError(
             f"spin {spin} carries no quadrupole moment; coupling undefined"
         )
-    if min(r14, quadrupole_moment, gamma) <= 0.0:
-        raise MaterialError("r14, quadrupole moment and gamma must be positive")
+    for name, value in (("r14", r14), ("quadrupole_moment", quadrupole_moment), ("gamma", gamma)):
+        require(value, name, POSITIVE_FINITE)
     denominator = 4.0 * HBAR * gamma * spin * (2.0 * spin - 1.0)
     ratio = E_CHARGE * r14 * quadrupole_moment / denominator if denominator else math.inf
     if not 0.0 < ratio < math.inf:
@@ -52,8 +55,9 @@ def compute_bq(r14: float, quadrupole_moment: float, spin: float, gamma: float) 
 
 
 def _require_half_integer(spin: float) -> None:
-    doubled = 2.0 * spin
-    if not 0.5 < doubled < math.inf or abs(doubled - round(doubled)) > 1e-12:
+    # from 1/2 up to where 2 * spin overflows
+    doubled = 2.0 * require(spin, "spin", (0.5, sys.float_info.max / 2, "a positive half-integer"))
+    if abs(doubled - round(doubled)) > 1e-12:
         raise MaterialError(f"spin must be a positive half-integer, got {spin}")
 
 
@@ -89,17 +93,10 @@ class MaterialRecord:
 
     def __post_init__(self) -> None:
         _require_half_integer(self.spin)
-        positive = (
-            "gamma", "gamma_e", "epsilon", "bohr_radius", "r14",
-            "quadrupole_moment", "b_q", "sigma_capture", "sigma_exchange",
-            "local_field", "neighbor_spacing", "velocity",
-            "recombination_time", "bimolecular_k", "donor_density",
-            "acceptor_density", "diffusion_length", "photon_energy", "b_n0",
-        )
-        if self.hyperfine_field_bohr is not None:
-            positive += ("hyperfine_field_bohr",)
-        for key in positive:
-            require(getattr(self, key), f"{self.name or '<record>'}: {key}", POSITIVE_FINITE)
+        for f in self.__dataclass_fields__.values():
+            value = getattr(self, f.name)
+            if f.type != "str" and value is not None:     # every number it declares
+                require(value, f"{self.name or '<record>'}: {f.name}", POSITIVE_FINITE)
         if self.acceptor_density <= self.donor_density:
             # partially compensated n-type material is outside the model
             raise MaterialError(
@@ -135,11 +132,8 @@ class MaterialRecord:
         return replace(self, **overrides)
 
 
-_FLOAT_FIELDS = {
-    f.name for f in dataclass_fields(MaterialRecord)
-    if f.name not in ("name", "host", "isotope", "note")
-}
-_STRING_FIELDS = {"host", "isotope", "note"}
+_FLOAT_FIELDS = {f.name for f in dataclass_fields(MaterialRecord) if f.type != "str"}
+_STRING_FIELDS = {f.name for f in dataclass_fields(MaterialRecord) if f.type == "str"} - {"name"}
 
 
 def key_value_lines(text: str, source: str, require_block: bool = False):
@@ -179,8 +173,7 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, MaterialR
         nonlocal current, pending
         if current is None:
             return
-        missing = _FLOAT_FIELDS - {"hyperfine_field_bohr"} - set(pending)
-        missing |= {"host", "isotope"} - set(pending)
+        missing = {*_FLOAT_FIELDS, "host", "isotope"} - {"hyperfine_field_bohr", *pending}
         if missing:
             raise MaterialError(
                 f"{source}: record [{current}] is missing keys: {sorted(missing)}"
@@ -199,15 +192,10 @@ def parse_registry(text: str, source: str = "<registry>") -> dict[str, MaterialR
             continue
         if key == "name":
             raise MaterialError(f"{source}:{lineno}: 'name' is set by the block header")
-        if key in _STRING_FIELDS:
-            pending[key] = value
-        elif key in _FLOAT_FIELDS:
-            try:
-                pending[key] = float(value)
-            except ValueError as exc:
-                raise MaterialError(f"{source}:{lineno}: bad number for {key}: {value!r}") from exc
-        else:
-            raise MaterialError(f"{source}:{lineno}: unknown key {key!r}")
+        try:
+            pending[key] = coerce_field(key, value)
+        except MaterialError as exc:
+            raise MaterialError(f"{source}:{lineno}: {exc}") from exc
     flush()
     return records
 

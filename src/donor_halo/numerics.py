@@ -6,9 +6,11 @@ through :mod:`math` at scalar speed and returns a float; an array runs
 through numpy elementwise.  :func:`as_operand` makes that split once per
 call.
 
-Every float input of the computing modules passes :func:`require` with one
-of the intervals below (NaN lies in none); counts, shapes and spin levels
-are checked where used, and outputs past the float range raise NumericalError.
+Every number from outside the program passes :func:`require`: each float
+input of the computing modules and each record field with one of the
+intervals below, each numeric CLI option with its own (NaN lies in none).
+Counts, shapes and spin levels of the library are checked where used, and
+outputs past the float range raise NumericalError.
 
 Every integral the package evaluates (the nuclear field, and the
 quadrature oracles) has a smooth integrand on a finite interval.
@@ -64,11 +66,19 @@ def require(value, what: str, interval: tuple[float, float, str]):
     """value, a float or else as_operand(value), if all of it lies in interval.
 
     Else MaterialError "{what} must be {words}, got {the first value outside}".
+    An int is compared exactly and returned as a float, or as +-inf past the
+    float range; a refusal shows it as given, or there to 6 digits.
     """
     lo, hi, words = interval
     if isinstance(value, float):
         if lo <= value <= hi:
             return value
+    elif isinstance(value, int):
+        if lo <= value <= hi:
+            return float(value) if -_MAX <= value <= _MAX else math.inf if value > 0 else -math.inf
+        if not -_MAX <= value <= _MAX:      # where str() may refuse it
+            from decimal import Decimal
+            value = f"{Decimal(value):.6g}"
     elif isinstance(value := as_operand(value), float):
         return require(value, what, interval)
     else:

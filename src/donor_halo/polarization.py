@@ -258,7 +258,7 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     def balance(u: float) -> tuple[float, float]:
         """L and dL/du at r = e^u."""
         r = math.exp(u)
-        log_s = _log_screening(2.0 * r)
+        log_s = _log_screening(r)
         hyper = 2.0 * u - 4.0 * (r - 1.0)       # log r^2 e^{-4(r-1)}
         quad = log_quad + 2.0 * (log_s - u)     # log 2 s^2 / (f0 r^2)
         total = max(hyper, quad) + math.log1p(math.exp(-abs(hyper - quad)))
@@ -315,7 +315,9 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
     if np.ndim(grid) != 1 or grid.size == 0:
         raise MaterialError("power grid must be 1-D and non-empty")
     f00 = intrinsic_ratio(mat)
-    occ = invert_power(grid * power_scale(mat), mat)
+    with np.errstate(over="ignore"):        # an infinite power is the plateau
+        power = grid * power_scale(mat)
+    occ = invert_power(power, mat)
     nf = power_map(occ, mat).free_density
     if quadrupolar:
         rho_eff = np.minimum(quadrupolar_radius(f00 / (occ * (1.0 - occ))),

@@ -100,8 +100,11 @@ def log_radial_profile(r):
     phi is 0 in floats.  Takes a float or an array.
     """
     r = require(r, "radius", POSITIVE_FINITE)
-    log = math.log if isinstance(r, float) else np.log
-    return 4.0 - 4.0 * r + 4.0 * log(r) - 2.0 * _log_screening(2.0 * r)
+    if isinstance(r, float):
+        return 4.0 - 4.0 * r + 4.0 * math.log(r) - 2.0 * _log_screening(r)
+    with np.errstate(over="ignore"):        # 4r, and so -log phi, is inf past 4.5e307
+        four_r = 4.0 * r
+    return 4.0 - four_r + 4.0 * np.log(r) - 2.0 * _log_screening(r)
 
 
 def radial_profile(r):
@@ -149,7 +152,7 @@ def _log_profile_on_log_r(u):
     """
     exp = math.exp if isinstance(u, float) else np.exp
     r = exp(u)
-    log_s = _log_screening(2.0 * r)
+    log_s = _log_screening(r)
     return (4.0 - 4.0 * r + 4.0 * u - 2.0 * log_s,
             4.0 - 4.0 * r - exp(3.0 * (u + _LOG_2) - 2.0 * r - log_s))
 

@@ -17,7 +17,7 @@ from .errors import MaterialError, NumericalError
 from .fields import Geometry, coulomb_field
 from .kinetics import GAMMA_MIN_DIFFUSION, KineticState
 from .materials import HBAR, MaterialRecord
-from .numerics import NON_NEGATIVE_FINITE, POSITIVE_FINITE, require
+from .numerics import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, require
 from .spin_algebra import bq_local_field, second_order_shift
 
 
@@ -164,7 +164,7 @@ def build_report(b_field: float, r: float, state: KineticState, geometry: Geomet
     occ = state.occupancy
     fields_chk = local_fields(b_field, r, occ, geometry, mat, margin)
     limit = spin_temperature_limit(b_field, mat)
-    threshold = field_threshold(r * mat.bohr_radius, limit.eta)
+    threshold = field_threshold(require(r, "radius", POSITIVE) * mat.bohr_radius, limit.eta)
     motion = motional_regime(b_field, state, mat)
     warnings: list[str] = []
     if not fields_chk.high_field_ok:

@@ -285,12 +285,23 @@ def run_cli_err(*argv, capsys):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dwell", ["3", "0", "-5"])
+def too_many(bound):
+    """Counts past bound: one past it, past int64 and past the float range.
+
+    None is ever allocated.  A refusal shows the last to 6 digits (SHOWN).
+    """
+    return [str(bound + 1), str(10**20), pytest.param(str(10**400), id="10**400")]
+
+
+SHOWN = {str(10**400): "1.00000e+400"}
+
+
+@pytest.mark.parametrize("dwell", ["3", "0", "-5", *too_many(10**8)])
 def test_verify_rejects_too_few_dwell_events(dwell, capsys):
     code, err = run_cli_err("verify", "--suite", "telegraph-mc", "--dwell", dwell,
                             capsys=capsys)
     assert code == 2
-    assert err == f"donor-halo: dwell must be at least 128, got {dwell}\n"
+    assert err == f"donor-halo: dwell must be in [128, 100000000], got {SHOWN.get(dwell, dwell)}\n"
 
 
 def test_power_rejects_spin_half(capsys):
@@ -315,11 +326,12 @@ def test_set_rejects_non_finite(item, capsys):
     ("radius", "f0-max", "-inf"),
 ])
 def test_non_finite_options_rejected(command, key, value, tmp_path, capsys):
+    words = "positive and finite" if command == "radius" else "finite"
     out = tmp_path / "out.csv"
     code, err = run_cli_err(command, f"--{key}={value}", "--out", str(out),
                             capsys=capsys)
     assert code == 2
-    assert err == f"donor-halo: {key} must be finite, got {float(value)}\n"
+    assert err == f"donor-halo: {key} must be {words}, got {float(value)}\n"
     assert not out.exists()
 
 
@@ -332,12 +344,12 @@ def test_config_rejects_bad_option_value(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["profile", "radius", "power"])
-@pytest.mark.parametrize("points", ["0", "-1"])
+@pytest.mark.parametrize("points", ["0", "-1", *too_many(10**6)])
 def test_points_below_one_rejected(command, points, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code, err = run_cli_err(command, "--points", points, "--out", str(out), capsys=capsys)
     assert code == 2
-    assert err == f"donor-halo: points must be at least 1, got {points}\n"
+    assert err == f"donor-halo: points must be in [1, 1000000], got {SHOWN.get(points, points)}\n"
     assert not out.exists()
 
 
@@ -359,7 +371,7 @@ def test_grid_ends_must_be_positive(command, key, tmp_path, capsys):
     out = tmp_path / "out.csv"
     code, err = run_cli_err(command, f"--{key}", "0", "--out", str(out), capsys=capsys)
     assert code == 2
-    assert err == f"donor-halo: {key} must be positive, got 0.0\n"
+    assert err == f"donor-halo: {key} must be positive and finite, got 0.0\n"
     assert not out.exists()
 
 
@@ -466,13 +478,11 @@ def test_verify_rejects_dwell_below_the_floor(capsys):
     code, err = run_cli_err("verify", "--suite", "telegraph-mc", "--dwell", "10",
                             capsys=capsys)
     assert code == 2
-    assert err == "donor-halo: dwell must be at least 128, got 10\n"
+    assert err == "donor-halo: dwell must be in [128, 100000000], got 10\n"
 
 
 def test_verify_at_the_dwell_floor_raises_nowhere(capsys):
-    from donor_halo import checks
-
-    cli.main(["verify", "--suite", "telegraph-mc", "--dwell", str(checks.MIN_DWELL)])
+    cli.main(["verify", "--suite", "telegraph-mc", "--dwell", str(cli.MIN_DWELL)])
     lines = capsys.readouterr().out.splitlines()
     results = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
     assert len(results) == 2
@@ -497,6 +507,14 @@ DECLARED = [(command, opt.name) for command, (_, options) in cli._COMMANDS.items
 
 def test_every_declared_option_has_a_value_to_try():
     assert {name for _, name in DECLARED} == set(OPTION_VALUES) | {"out"}
+
+
+def test_every_numeric_option_has_an_interval():
+    # a number from the command line or a config file passes numerics.require
+    # like every number of the library; a new option cannot skip that guard
+    unguarded = [(command, opt.name) for command, (_, options) in cli._COMMANDS.items()
+                 for opt in options if opt.parse in (float, int) and opt.interval is None]
+    assert unguarded == []
 
 
 def run_cli_all(*argv, capsys):

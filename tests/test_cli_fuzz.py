@@ -172,7 +172,7 @@ SEEDS = st.one_of(st.sampled_from([0, -1, 2**32, 2**64, -2**63]), st.integers(),
 #: seeds a config file may hold: integer literals and the malformed rest
 SEED_TEXTS = st.one_of(SEEDS.map(str), NUMBERS.map(repr),
                        st.sampled_from(["1e3", "1.5", "0x10", "seven", ""]))
-#: dwell counts below checks.MIN_DWELL, refused before any suite runs
+#: dwell counts below cli.MIN_DWELL, refused before any suite runs
 FEW_DWELLS = st.integers(-10**6, 127).map(str)
 
 

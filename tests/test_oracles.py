@@ -20,13 +20,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from donor_halo import (Geometry, angular_factor, bq_local_field, compute_bq,
-                        efg_transform, gamma_ceiling, get_material, list_materials, nuclear_field,
-                        p_avg, profile, redfield_rate_analytic, telegraph_correlation)
-from donor_halo.fields import field_direction, screening_density
+from donor_halo import (Geometry, NonPerturbativeRegimeError, angular_factor, bq_local_field,
+                        compute_bq, efg_transform, gamma_ceiling, get_material, level_shift,
+                        list_materials, nuclear_field, p_avg, profile, redfield_rate_analytic,
+                        telegraph_correlation)
+from donor_halo.fields import donor_field, field_direction, screening_density
 from donor_halo.kinetics import telegraph_amplitude
+from donor_halo.materials import HBAR
 from donor_halo.oracles import (angular_factor_trace, bq_local_field_trace,
-                                efg_transform_rotation, p_avg_quadrature, power_map_residuals,
+                                efg_transform_rotation, level_shift_diagonalization,
+                                p_avg_quadrature, power_map_residuals,
                                 redfield_rate_superoperator,
                                 screening_cdf_quadrature, spectral_density_quadrature,
                                 spin_temperature_eta_bisection,
@@ -122,6 +125,35 @@ def test_efg_transform_matches_rotation(theta, phi, theta_b, phi_b, log_e, name)
     oracle = efg_transform_rotation(e_vec, geo, r14)
     scale = max(abs(c) for c in closed)
     assert max(abs(c - o) for c, o in zip(closed, oracle)) <= 1e-12 * scale
+
+
+#: the gap between level_shift (second order) and the diagonalization, in
+#: f0q^3 / (gamma hbar B)^2.  The third-order term of H_Q vanishes, so the
+#: gap is the fourth-order one, at most 144 f0q^4 / (gamma hbar B)^3 for
+#: spin 3/2 (the largest over theta and m, from diagonalizing at f0q =
+#: 1e-3 gamma hbar B).  The perturbative guard asks gamma hbar B >= 10
+#: ||H_Q|| >= 10 * 2 sqrt(3) f0q, so that term is at most 144 / (20 sqrt(3))
+#: = 4.16 f0q^3 / (gamma hbar B)^2; K = 5 leaves 20 % for the higher orders.
+#: A rounding floor of 8 ulps of gamma hbar B covers the eigenvalues where
+#: f0q is small against the field (at most 3.3 ulps in 6000 draws).
+LEVEL_SHIFT_K = 5.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([-1.5, -0.5, 0.5, 1.5]), st.floats(0.1, 10.0), st.floats(0.3, 3.0),
+       THETA, PHI, THETA, PHI, UNIT)
+def test_level_shift_agrees_with_diagonalization_to_fourth_order(m, b_field, r, theta, phi,
+                                                                  theta_b, phi_b, occupancy):
+    mat = get_material("GaAs:As75")
+    geo = Geometry(theta=theta, phi=phi, theta_b=theta_b, phi_b=phi_b)
+    try:
+        closed = level_shift(m, b_field, r, geo, occupancy, mat)
+    except NonPerturbativeRegimeError:
+        return
+    zeeman = mat.gamma * HBAR * b_field
+    f0q = donor_field(r, occupancy, mat).f0q
+    gap = abs(closed - level_shift_diagonalization(m, b_field, r, geo, occupancy, mat))
+    assert gap <= LEVEL_SHIFT_K * f0q ** 3 / zeeman ** 2 + 8.0 * np.finfo(float).eps * zeeman
 
 
 # --- the numpy routes against scipy ------------------------------------------
