@@ -14,15 +14,16 @@ from donor_halo.kinetics import dwell_occupancy, telegraph_amplitude, telegraph_
 
 SCREEN = 0.3233                    # screening at one Bohr radius
 TAU_OCC, TAU_EMPTY = 1.0, 1.5      # dwell times (arbitrary units)
+N_DWELL = 400_000
 OCC = dwell_occupancy(TAU_OCC, TAU_EMPTY)    # the occupancy they fix, 0.4
 
-est = simulate_telegraph(SCREEN, TAU_OCC, TAU_EMPTY, n_dwell=400_000, seed=2026)
+est = simulate_telegraph(SCREEN, TAU_OCC, TAU_EMPTY, n_dwell=N_DWELL, seed=2026)
 exact_rate = 1.0 / TAU_OCC + 1.0 / TAU_EMPTY
 exact_amp = telegraph_amplitude(OCC, SCREEN)
 
-print(f"dwell events        : {est.dwell_count}")
+print(f"dwell events        : {N_DWELL}")
 print(f"mean of h           : {est.mean:+.2e} +- {est.mean_se:.2e} (exact 0)")
-print(f"zero-lag amplitude  : {est.amplitude:.6f} (exact {exact_amp:.6f})")
+print(f"zero-lag amplitude  : {est.acf[0]:.6f} (exact {exact_amp:.6f})")
 print(f"fitted decay rate   : {est.decay_rate:.4f} (exact {exact_rate:.4f})")
 print()
 print(f"{'lag':>6} {'simulated':>11} {'exact':>11} {'pull (sigma)':>12}")

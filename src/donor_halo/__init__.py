@@ -30,8 +30,7 @@ from .polarization import (DiffusionRadius, NuclearField, PowerSweep,
                            half_polarization_radius, nuclear_field, p_avg,
                            p_point, power_sweep, profile, quadrupolar_radius,
                            radius_sweep)
-from .relaxation import (CompetitionFactors, RateBundle, competition,
-                         intrinsic_ratio, radial_profile, rates)
+from .relaxation import RateBundle, intrinsic_ratio, radial_profile, rates
 from .spin_algebra import (SpinMatrices, angular_factor, bq_local_field,
                            build_hq_general, build_spin_operators, level_shift,
                            redfield_rate_analytic)

@@ -306,7 +306,7 @@ def telegraph_mc_suite(seed: int = 20260810, n_dwell: int = 1_000_000) -> list[C
         exact_rate = 1.0 / tau_occ + 1.0 / tau_empty
         exact_amp = kinetics.telegraph_amplitude(occ, _SCREEN_BOHR)
         rate_err = abs(est.decay_rate - exact_rate) / exact_rate
-        amp_dev = abs(est.amplitude - exact_amp)
+        amp_dev = abs(est.acf[0] - exact_amp)
         amp_ok = amp_dev <= 3.0 * est.acf_se[0] + 1e-12
         mean_ok = abs(est.mean) <= 3.0 * est.mean_se
         lags_ok = True
@@ -325,7 +325,7 @@ def telegraph_mc_suite(seed: int = 20260810, n_dwell: int = 1_000_000) -> list[C
         exact_rate = 1.0 + 1.0 / 3.0
         exact_amp = kinetics.telegraph_amplitude(0.25, _SCREEN_BOHR)
         rate_err = abs(est.decay_rate - exact_rate) / exact_rate
-        amp_ok = abs(est.amplitude - exact_amp) <= 3.0 * est.acf_se[0] + 1e-12
+        amp_ok = abs(est.acf[0] - exact_amp) <= 3.0 * est.acf_se[0] + 1e-12
         ok = rate_err <= 0.05 and amp_ok
         return ok, f"decay rel err {rate_err:.4f}, amplitude within 3 sigma: {amp_ok}"
 
@@ -381,7 +381,7 @@ def reference_number_suite() -> list[CheckResult]:
         return polarization.diffusion_radius(state, 0.1, d, mat, **options)
 
     def diffusion_calibration() -> tuple[bool, str]:
-        root = balance_radius(include_quadrupolar=False)
+        root = balance_radius(f0=math.inf)
         ok = root.has_solution and abs(root.value - polarization.RHO_D_REFERENCE) <= 1e-5
         return ok, f"no-quadrupolar balance radius = {root.value} (calibrated target 1.4)"
 
@@ -562,7 +562,7 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
         for n in (16_000, 256_000):
             # the amplitude is the lag-0 estimate, the same at any n_lags
             runs = [kinetics.simulate_telegraph(_SCREEN_BOHR, 1.0, 3.0, n_dwell=n,
-                                                seed=seed + k, n_lags=4).amplitude
+                                                seed=seed + k, n_lags=4).acf[0]
                     for k in range(8)]
             errs[n] = float(np.mean([abs(a - exact) for a in runs]))
         ratio = errs[256_000] / errs[16_000]

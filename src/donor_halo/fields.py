@@ -51,7 +51,6 @@ class FieldPoint:
 
     e_off: float         # ionized-donor field, V/m
     screening: float     # enclosed-charge fraction s(r)
-    e_on: float          # field with the electron present, V/m
     f0q: float           # static quadrupolar energy scale, J
 
 
@@ -163,7 +162,7 @@ def donor_field(r: float, occupancy: float, mat: MaterialRecord) -> FieldPoint:
     e_off = coulomb_field(r, mat)
     s = screening_fraction(r)
     f0q = HBAR * mat.gamma * (1.0 - s * occupancy) * mat.b_q * e_off
-    return FieldPoint(e_off=e_off, screening=s, e_on=e_off * (1.0 - s), f0q=f0q)
+    return FieldPoint(e_off=e_off, screening=s, f0q=f0q)
 
 
 def hyperfine_field_instant(r: float, mat: MaterialRecord) -> float:

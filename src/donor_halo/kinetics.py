@@ -41,9 +41,6 @@ class KineticState:
     free_density: float     # free-electron density, m^-3
     tau_quad: float         # correlation time of the quadrupolar modulation, s
     tau_hyper: float        # correlation time of the hyperfine coupling, s
-    tau_r: float            # trapped-electron recombination time, s
-    tau_capture: float      # ionized-donor lifetime against capture, s
-    degenerate: bool = False  # True when free_density = 0 (no exchange channel)
 
 
 def occupancy(free_density: float, mat: MaterialRecord) -> KineticState:
@@ -62,15 +59,8 @@ def occupancy(free_density: float, mat: MaterialRecord) -> KineticState:
     tau_quad = 1.0 / (1.0 / tau_r + capture_rate)
     exchange_rate = mat.sigma_exchange * mat.velocity * free_density
     tau_hyper = 1.0 / exchange_rate if exchange_rate > 0.0 else math.inf
-    return KineticState(
-        occupancy=gamma_t,
-        free_density=free_density,
-        tau_quad=tau_quad,
-        tau_hyper=tau_hyper,
-        tau_r=tau_r,
-        tau_capture=1.0 / capture_rate if capture_rate > 0.0 else math.inf,
-        degenerate=(free_density == 0.0),
-    )
+    return KineticState(occupancy=gamma_t, free_density=free_density,
+                        tau_quad=tau_quad, tau_hyper=tau_hyper)
 
 
 def state_for_occupancy(gamma_t: float, mat: MaterialRecord) -> KineticState:
@@ -150,8 +140,6 @@ class TelegraphEstimate:
     mean: float
     mean_se: float
     decay_rate: float       # fitted exponential rate, 1/s
-    amplitude: float        # estimated zero-lag correlation
-    dwell_count: int
     total_time: float
 
 
@@ -268,11 +256,12 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
     prefix per word: under 3 bytes per dwell at its peak for 1e6 dwells
     at 5 samples per dwell.
 
-    Raises MaterialError when a dwell time is not positive and finite,
-    when the samples cannot fill the blocks, when the grid passes 2**62
-    samples or its packed words cannot be allocated, or when the acf
-    within the fit window is not positive (too few samples per
-    correlation time), so the decay fit would take the log of it.
+    Raises MaterialError when a dwell time is not positive and finite or
+    the dwells run past the float range, when the samples cannot fill the
+    blocks, when the grid passes 2**62 samples or its packed words cannot
+    be allocated, or when the acf within the fit window is not positive
+    (too few samples per correlation time), so the decay fit would take
+    the log of it.
     """
     if n_dwell < MIN_DWELL:
         raise MaterialError(f"need at least {MIN_DWELL} dwell events")
@@ -294,7 +283,8 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
     def grid_too_large(why: str) -> MaterialError:
         return MaterialError(
             f"the sample grid of {n_dwell} dwell events at {samples_per_dwell} "
-            f"samples per dwell {why}; lower n_dwell or samples_per_dwell")
+            f"samples per dwell {why}; lower n_dwell, samples_per_dwell or the ratio "
+            f"of the dwell times {tau_occupied:g} and {tau_empty:g}")
 
     buf = np.empty(min(n_dwell, _CHUNK))
     flipped = np.zeros(0, dtype="<u8")
@@ -308,6 +298,9 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
             edges[0] += total
             np.cumsum(edges, out=edges)
         total = float(edges[-1])
+        if total == math.inf:
+            raise MaterialError(f"dwell times {tau_occupied:g} and {tau_empty:g} run "
+                                f"{n_dwell} dwell events past the float range; lower them")
         # every sample index, and the quotients edge / dt that round to
         # them, must fit int64; a product, as dt may underflow to 0
         if not total < dt * _MAX_SAMPLES:
@@ -396,12 +389,8 @@ def simulate_telegraph(screening: float, tau_occupied: float, tau_empty: float,
             f"acf at lag {k} is {acf[k]:.3g}, not positive, so the decay fit has no "
             f"log; raise n_dwell or samples_per_dwell")
     slope = np.polyfit(lags[:k_max] * dt, np.log(fit), 1)[0]
-    return TelegraphEstimate(
-        lag_times=lags * dt, acf=acf, acf_se=acf_se,
-        mean=mean, mean_se=mean_se,
-        decay_rate=float(-slope), amplitude=float(acf[0]),
-        dwell_count=n_dwell, total_time=total,
-    )
+    return TelegraphEstimate(lag_times=lags * dt, acf=acf, acf_se=acf_se, mean=mean,
+                             mean_se=mean_se, decay_rate=float(-slope), total_time=total)
 
 
 # --- spectral density -------------------------------------------------------
@@ -423,7 +412,6 @@ def spectral_density(omega: float, amplitude: float, tau_c: float) -> float:
 class PowerPoint(NamedTuple):
     power: float         # excitation power density, W/m^2
     p0: float            # doping-dependent power scale, W/m^2
-    xi: float            # capture-vs-recombination occupancy variable
     free_density: float  # m^-3
 
 
@@ -460,11 +448,9 @@ def power_map(gamma_t, mat: MaterialRecord) -> PowerPoint:
         (capture * (1.0 - gamma_t) + mat.bimolecular_k * gamma_t) * mat.donor_density
         + mat.bimolecular_k * (n_f + mat.acceptor_density)
     )
-    xi = (mat.bimolecular_k / capture) * gamma_t / (1.0 - gamma_t)
     return PowerPoint(
         power=generation * mat.diffusion_length * mat.photon_energy,
         p0=power_scale(mat),
-        xi=xi,
         free_density=n_f,
     )
 

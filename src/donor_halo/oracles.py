@@ -91,11 +91,11 @@ def redfield_rate_superoperator(spin: float, theta: float, j1: float, j2: float)
     sigma ~ Iz, with the coupling prefactor taken as one angular frequency.
     """
     ops = build_spin_operators(spin)
-    quad_ops = build_quadrupole_operators(theta, 0.0, spin)
+    a1, a2 = build_quadrupole_operators(theta, 0.0, spin)
     sigma = ops.iz     # deviation from equilibrium, arbitrary scale
     total = np.zeros_like(sigma)
-    for a, a_dag, j in ((quad_ops.a1, quad_ops.a1_dag, j1),
-                        (quad_ops.a2, quad_ops.a2_dag, j2)):
+    for a, j in ((a1, j1), (a2, j2)):
+        a_dag = a.conj().T
         inner = a_dag @ sigma - sigma @ a_dag
         total = total + j * (a @ inner - inner @ a)
     flow = float(np.trace(ops.iz @ total).real)

@@ -26,7 +26,7 @@ from .fields import Geometry, _log_screening, screening_density, screening_fract
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
                        power_map, power_scale)
 from .materials import MaterialRecord
-from .numerics import FINITE, POSITIVE_FINITE, UNIT_OPEN, gauss_legendre, require
+from .numerics import FINITE, POSITIVE, POSITIVE_FINITE, UNIT_OPEN, gauss_legendre, require
 from .relaxation import (_LOG_FLOAT_MAX, intrinsic_ratio, log_radial_profile,
                          radial_profile_inverse, rates)
 
@@ -109,9 +109,8 @@ def half_polarization_radius(theta, f0):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Sampled polarization profile plus the derived radii."""
+    """Polarization profile sampled on the caller's grid, plus the derived radii."""
 
-    r_grid: np.ndarray
     p_parallel: np.ndarray        # theta = 0 (along the magnetic field)
     p_perpendicular: np.ndarray   # theta = pi/2
     p_avg: np.ndarray
@@ -128,7 +127,6 @@ def profile(f0: float, r_grid: np.ndarray, rho_d: float | None = None) -> Radial
         raise MaterialError("r_grid must be 1-D and strictly increasing")
     rho_q = quadrupolar_radius(f0)
     return RadialProfile(
-        r_grid=grid,
         p_parallel=p_point(grid, 0.0, f0),
         p_perpendicular=p_point(grid, math.pi / 2.0, f0),
         p_avg=p_avg(grid, f0),
@@ -222,8 +220,7 @@ def _last_positive(func, lo: float, hi: float) -> float:
 
 
 def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: float,
-                     mat: MaterialRecord, *, include_quadrupolar: bool = True,
-                     f0: float | None = None) -> DiffusionRadius:
+                     mat: MaterialRecord, *, f0: float | None = None) -> DiffusionRadius:
     """Largest radius where direct relaxation still matches spin diffusion.
 
     Balances the geometry-averaged total relaxation rate against
@@ -234,6 +231,8 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     The quadrupolar channel enters through the angular-averaged inverse
     ratio 2/(f0 * phi(r)); by default f0 follows from the kinetic state,
     and can be overridden to probe a prescribed competition strength.
+    f0 = inf turns the channel off: the balance is then the hyperfine
+    rate alone against diffusion.
 
     On u = log r the balance is L = log(Gamma_1 a0*^2 / D) + log(r^2
     e^{-4(r-1)} + 2 s^2 / (f0 r^2)), Gamma_1 the hyperfine rate at r = 1.
@@ -244,12 +243,10 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     the largest float raises NumericalError.
     """
     require(diffusion_constant, "diffusion constant", POSITIVE_FINITE)
-    log_quad = -math.inf      # log 2/f0; without the quadrupolar channel, -inf
-    if include_quadrupolar:
-        if f0 is None:
-            occ = require(state.occupancy, "occupancy", UNIT_OPEN)
-            f0 = intrinsic_ratio(mat) / (occ * (1.0 - occ))
-        log_quad = _LOG_2 - math.log(require(f0, "f0", POSITIVE_FINITE))
+    if f0 is None:
+        occ = require(state.occupancy, "occupancy", UNIT_OPEN)
+        f0 = require(intrinsic_ratio(mat) / (occ * (1.0 - occ)), "f0", POSITIVE_FINITE)
+    log_quad = _LOG_2 - math.log(require(f0, "f0", POSITIVE))   # -inf at f0 = inf
     rate_bohr = _hyperfine_rate(1.0, state, b_field, mat)
     if not rate_bohr > 0.0:
         return DiffusionRadius(value=None, has_solution=False)
@@ -293,7 +290,6 @@ class PowerSweep:
     diffusion_flag: np.ndarray   # True where bulk spin diffusion dominates
     f00: float
     rho_d: float                 # cap radius used, a0* units
-    quadrupolar: bool
 
 
 def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
@@ -335,5 +331,4 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
         diffusion_flag=occ < GAMMA_MIN_DIFFUSION,
         f00=f00,
         rho_d=RHO_D_REFERENCE,
-        quadrupolar=quadrupolar,
     )

@@ -3,10 +3,12 @@
 Two channels relax a nucleus near the donor: the fluctuating hyperfine
 contact field of the trapped electron (which also polarizes the
 nucleus) and the trapping-modulated quadrupolar coupling (which only
-depolarizes).  Their ratio f factorizes into an amplitude set by
-material constants and occupancy, a steep radial profile, and a simple
-angular denominator; that factorization is what the polarization
-profiles are built from, and the raw rate quotient is kept around as a
+depolarizes).  In the motional-narrowing regime their ratio f
+factorizes as f0 phi(r) / (1 + 3 cos^2 theta): the amplitude f0 =
+:func:`intrinsic_ratio` / [occ (1 - occ)] is set by material constants
+and occupancy, phi is the steep :func:`radial_profile`, and the angular
+denominator is simple.  The polarization profiles are built from that
+factorization; the raw rate quotient ``rates(...).f`` is kept as a
 consistency oracle for it.
 """
 
@@ -19,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaterialError, NumericalError
-from .fields import Geometry, _log_screening, donor_field, hyperfine_field_instant
+from .fields import (Geometry, _log_screening, coulomb_field, donor_field,
+                     hyperfine_field_instant)
 from .kinetics import KineticState, spectral_density
 from .materials import MaterialRecord
-from .numerics import (FINITE, MAX_STEPS, NON_NEGATIVE_FINITE, POSITIVE_FINITE, UNIT_OPEN,
-                       require)
+from .numerics import MAX_STEPS, NON_NEGATIVE_FINITE, POSITIVE_FINITE, require
 from .spin_algebra import angular_factor, transition_moment
 
 
@@ -33,21 +35,7 @@ class RateBundle:
 
     inv_t1q: float       # quadrupolar rate, 1/s
     inv_t1h: float       # hyperfine rate, 1/s
-    omega_1: float       # single-quantum nuclear transition frequency, rad/s
-    omega_2: float       # double-quantum frequency (exactly 2 omega_1), rad/s
-    omega_h: float       # electron-nucleus flip-flop frequency, rad/s
     f: float             # rate ratio inv_t1h / inv_t1q (inf when t1q never relaxes)
-
-
-@dataclass(frozen=True)
-class CompetitionFactors:
-    """Factorized form of the hyperfine-to-quadrupolar rate ratio."""
-
-    f00: float                  # intrinsic amplitude, independent of conditions
-    f0: float                   # occupancy-scaled amplitude f00 / [occ (1-occ)]
-    radial: float               # dimensionless radial profile phi(r)
-    angular_denominator: float  # 1 + 3 cos^2(theta)
-    f: float                    # full ratio f0 * radial / angular_denominator
 
 
 def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
@@ -62,28 +50,26 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
     require(b_field, "b_field", NON_NEGATIVE_FINITE)
     occ = state.occupancy
     point = donor_field(r, occ, mat)
-    omega_1 = mat.gamma * b_field
-    omega_2 = 2.0 * omega_1
-    omega_h = mat.gamma_e * b_field
-    if not max(omega_2, omega_h) < math.inf:
+    w1 = mat.gamma * b_field        # single-quantum nuclear frequency; double is 2 w1
+    wh = mat.gamma_e * b_field      # electron-nucleus flip-flop frequency
+    if not max(2.0 * w1, wh) < math.inf:
         raise NumericalError(f"Larmor frequencies at B = {b_field:g} T are out of float range")
     # modulation amplitude: the full ionized-donor field times s(r)
     coupling = mat.gamma * mat.b_q * point.e_off * point.screening
     k1 = angular_factor(1, geometry.theta, mat.spin)
     k2 = angular_factor(2, geometry.theta, mat.spin)
     inv_t1q = occ * (1.0 - occ) * coupling * coupling * (
-        k1 * spectral_density(omega_1, 1.0, state.tau_quad)
-        + k2 * spectral_density(omega_2, 1.0, state.tau_quad)
+        k1 * spectral_density(w1, 1.0, state.tau_quad)
+        + k2 * spectral_density(2.0 * w1, 1.0, state.tau_quad)
     )
     b_e = hyperfine_field_instant(r, mat)
     if math.isinf(state.tau_hyper):
         inv_t1h = 0.0
     else:
         inv_t1h = occ * (mat.gamma * b_e) * (mat.gamma * b_e) \
-            * spectral_density(omega_h, 1.0, state.tau_hyper)
+            * spectral_density(wh, 1.0, state.tau_hyper)
     f = inv_t1h / inv_t1q if inv_t1q > 0.0 else math.inf
-    return RateBundle(inv_t1q=inv_t1q, inv_t1h=inv_t1h,
-                      omega_1=omega_1, omega_2=omega_2, omega_h=omega_h, f=f)
+    return RateBundle(inv_t1q=inv_t1q, inv_t1h=inv_t1h, f=f)
 
 
 #: largest x with a finite exp(x)
@@ -231,8 +217,7 @@ def intrinsic_ratio(mat: MaterialRecord) -> float:
             f"spin {mat.spin:g} has no quadrupole moment; the competition "
             f"amplitude needs a quadrupolar nucleus")
     b_e = mat.require_hyperfine_field()
-    e_off_bohr = donor_field(1.0, 0.0, mat).e_off
-    modulation = mat.b_q * e_off_bohr
+    modulation = mat.b_q * coulomb_field(1.0, mat)
     field_ratio = b_e / modulation if modulation else math.inf
     f00 = 2.5 * (mat.sigma_capture / mat.sigma_exchange) \
         / transition_moment(mat.spin) * field_ratio * field_ratio
@@ -241,20 +226,3 @@ def intrinsic_ratio(mat: MaterialRecord) -> float:
                              "check record fields")
     return f00
 
-
-def competition(r: float, theta: float, state: KineticState,
-                mat: MaterialRecord) -> CompetitionFactors:
-    """Factorized hyperfine-to-quadrupolar ratio at (r, theta).
-
-    Valid in the motional-narrowing regime, where both spectral
-    densities sit on their zero-frequency plateaus; there the raw rate
-    quotient from :func:`rates` equals this factorization identically.
-    """
-    occ = require(state.occupancy, "occupancy", UNIT_OPEN)
-    f00 = intrinsic_ratio(mat)
-    f0 = f00 / (occ * (1.0 - occ))
-    radial = radial_profile(r)
-    angular = 1.0 + 3.0 * math.cos(require(theta, "theta", FINITE)) ** 2
-    return CompetitionFactors(f00=f00, f0=f0, radial=radial,
-                              angular_denominator=angular,
-                              f=f0 * radial / angular)

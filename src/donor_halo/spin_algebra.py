@@ -78,33 +78,18 @@ def build_spin_operators(spin: float) -> SpinMatrices:
     )
 
 
-@dataclass(frozen=True)
-class QuadrupoleOperators:
-    """Field-coupled spin operators for one electric-field orientation.
+def build_quadrupole_operators(theta: float, phi: float,
+                               spin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Field-coupled spin operators (a1, a2) for one electric-field orientation.
 
-    a1 drives single-quantum transitions, a2 double-quantum ones; the
-    adjoints are the matrix Hermitian conjugates.
+    a1 drives single-quantum transitions, a2 double-quantum ones; their
+    adjoints are the Hermitian conjugates ``a.conj().T``.
     """
-
-    spin: float
-    theta: float
-    phi: float
-    a1: np.ndarray
-    a2: np.ndarray
-    a1_dag: np.ndarray
-    a2_dag: np.ndarray
-
-
-def build_quadrupole_operators(theta: float, phi: float, spin: float) -> QuadrupoleOperators:
     ops = build_spin_operators(spin)
     phase = np.exp(1j * (phi - math.pi / 2.0))
     a1 = math.sin(theta) * phase * (ops.iz @ ops.iplus + ops.iplus @ ops.iz)
     a2 = -1j * math.cos(theta) * (ops.iplus @ ops.iplus)
-    return QuadrupoleOperators(
-        spin=spin, theta=theta, phi=phi,
-        a1=_freeze(a1), a2=_freeze(a2),
-        a1_dag=_freeze(a1.conj().T.copy()), a2_dag=_freeze(a2.conj().T.copy()),
-    )
+    return _freeze(a1), _freeze(a2)
 
 
 def transition_moment(spin: float) -> float:
@@ -149,8 +134,8 @@ def build_hq_axial(f0q: float, theta: float, phi: float, spin: float) -> np.ndar
     f0q is the static quadrupolar energy scale at the nucleus; theta and
     phi orient the electric field relative to the normal.
     """
-    quad = build_quadrupole_operators(theta, phi, spin)
-    h = f0q * (quad.a1 + quad.a1_dag + quad.a2 + quad.a2_dag)
+    a1, a2 = build_quadrupole_operators(theta, phi, spin)
+    h = f0q * (a1 + a1.conj().T + a2 + a2.conj().T)
     return _freeze(h)
 
 

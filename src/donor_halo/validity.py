@@ -62,7 +62,6 @@ def _worst_case_shift(r_m: float, b_field: float, mat: MaterialRecord) -> float:
 class SpinTemperatureLimit:
     eta: float      # m * T^(1/5)
     r_q: float      # spin-temperature radius at the given field, m
-    b_field: float  # field r_q is given at, T
 
 
 def spin_temperature_eta(mat: MaterialRecord) -> float:
@@ -96,7 +95,7 @@ def spin_temperature_limit(b_field: float, mat: MaterialRecord) -> SpinTemperatu
     """Radius outside which a nuclear spin temperature exists at this field."""
     require(b_field, "b_field", POSITIVE_FINITE)
     eta = spin_temperature_eta(mat)
-    return SpinTemperatureLimit(eta=eta, r_q=eta * b_field ** -0.2, b_field=b_field)
+    return SpinTemperatureLimit(eta=eta, r_q=eta * b_field ** -0.2)
 
 
 def field_threshold(r_m: float, eta: float) -> float:
@@ -114,21 +113,21 @@ def field_threshold(r_m: float, eta: float) -> float:
 
 @dataclass(frozen=True)
 class MotionalRegime:
-    omega1_tau: float
-    omega2_tau: float
+    omega1_tau: float   # single-quantum channel; the double-quantum one is twice it
     omegah_tau: float
     narrowed: bool
 
 
 def motional_regime(b_field: float, state: KineticState,
                     mat: MaterialRecord) -> MotionalRegime:
-    """Products omega * tau_c for the three channels; inf past the float range."""
+    """Products omega * tau_c of the channels; inf past the float range.
+
+    The double-quantum product is twice omega1_tau, so the regime is
+    narrowed when it and omegah_tau are below 1.
+    """
     w1 = mat.gamma * require(b_field, "b_field", NON_NEGATIVE_FINITE) * state.tau_quad
     wh = 0.0 if math.isinf(state.tau_hyper) else mat.gamma_e * b_field * state.tau_hyper
-    return MotionalRegime(
-        omega1_tau=w1, omega2_tau=2.0 * w1, omegah_tau=wh,
-        narrowed=(w1 < 1.0 and 2.0 * w1 < 1.0 and wh < 1.0),
-    )
+    return MotionalRegime(omega1_tau=w1, omegah_tau=wh, narrowed=2.0 * w1 < 1.0 and wh < 1.0)
 
 
 #: same-isotope flip-flop suppression for a homogeneous quadrupolar shift;
@@ -191,7 +190,7 @@ def build_report(b_field: float, r: float, state: KineticState, geometry: Geomet
         high_field_ok=fields_chk.high_field_ok, high_field_margin=margin,
         eta=limit.eta, r_q=limit.r_q, b_q_prime=threshold,
         spin_temperature_ok=b_field > threshold,
-        omega1_tau=motion.omega1_tau, omega2_tau=motion.omega2_tau,
+        omega1_tau=motion.omega1_tau, omega2_tau=2.0 * motion.omega1_tau,
         omegah_tau=motion.omegah_tau, motional_narrowed=motion.narrowed,
         warnings=warnings,
     )

@@ -143,6 +143,9 @@ def test_usage_errors(capsys):
     assert run_cli("materials", "--material", "Unobtainium")[0] == 2
     assert run_cli("profile", "--set", "epsilon=abc")[0] == 2
     assert run_cli("profile", "--set", "banana=3")[0] == 2
+    # a string the dump of the record could not hold on one line
+    for value in ("note=x#y", "note=a\nb"):
+        assert run_cli("materials", "--material", "GaAs:As75", "--set", value)[0] == 2
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == 2

@@ -103,7 +103,6 @@ def test_coulomb_field_value_and_scaling(gaas):
 
 def test_donor_field_point(gaas):
     point = donor_field(1.0, 0.5, gaas)
-    assert point.e_on == pytest.approx(point.e_off * (1.0 - point.screening), rel=1e-14)
     expected_f0q = HBAR * gaas.gamma * (1.0 - point.screening * 0.5) \
         * gaas.b_q * point.e_off
     assert point.f0q == pytest.approx(expected_f0q, rel=1e-14)

@@ -22,8 +22,8 @@ import pytest
 import donor_halo
 from donor_halo import (DonorHaloError, Geometry, MaterialRecord, angular_factor,
                         bq_local_field, build_hq_general, build_report,
-                        build_spin_operators, calibrate_diffusion, competition,
-                        compute_bq, coulomb_field, diffusion_radius, donor_field,
+                        build_spin_operators, calibrate_diffusion, compute_bq,
+                        coulomb_field, diffusion_radius, donor_field,
                         efg_transform, get_material, half_polarization_radius,
                         hyperfine_field_instant, invert_power, level_shift,
                         local_fields, motional_regime, occupancy, p_avg, p_point,
@@ -87,7 +87,6 @@ TABLE = {
         mat=MAT, f0=0.02), False),
     "power_sweep": (power_sweep, dict(p_over_p0=np.array([0.1, 1.0]), mat=MAT), False),
     "rates": (rates, dict(r=0.7, geometry=GEO, state=STATE, b_field=1.0, mat=MAT), False),
-    "competition": (competition, dict(r=0.7, theta=0.4, state=STATE, mat=MAT), False),
     "radial_profile": (radial_profile, dict(r=0.7), True),
     "log_radial_profile": (log_radial_profile, dict(r=0.7), True),
     "radial_profile_inverse": (radial_profile_inverse, dict(log_target=1.0), True),
@@ -113,16 +112,15 @@ TABLE = {
 #: (function, field) pairs whose infinity is the answer, with the reason
 INFINITIES = {
     ("occupancy", "tau_hyper"): "no free electrons (n_f = 0): no spin exchange",
-    ("occupancy", "tau_capture"): "no free electrons (n_f = 0): no capture",
     ("state_for_occupancy", "tau_hyper"): "occupancy 0 is n_f = 0: no spin exchange",
-    ("state_for_occupancy", "tau_capture"): "occupancy 0 is n_f = 0: no capture",
     ("rates", "f"): "no quadrupolar rate acts (inv_t1q = 0), so hyperfine relaxation wins",
     ("log_radial_profile", "result"): "past r = 4.5e307 log phi is below -max float; "
                                       "phi itself is 0 there",
     **{(name, field): "omega * tau past the float range: far from narrowed; the CLI "
                       "refuses to write it (exit 3)"
        for name in ("motional_regime", "build_report")
-       for field in ("omega1_tau", "omega2_tau", "omegah_tau")},
+       for field in ("omega1_tau", "omegah_tau")},
+    ("build_report", "omega2_tau"): "twice omega1_tau, past the float range with it",
 }
 
 #: public callables with no float argument, or records that compute nothing
@@ -131,9 +129,9 @@ NOT_NUMERIC = {
     "gamma_ceiling", "get_material", "intrinsic_ratio", "list_materials",
     "load_registry", "nuclear_field", "render_report",
     # result records: they hold what a function returned and check nothing
-    "CompetitionFactors", "DiffusionRadius", "EfgComponents", "FieldPoint",
-    "KineticState", "NuclearField", "PowerSweep", "RadialProfile", "RateBundle",
-    "RegimeReport", "SpinMatrices", "TelegraphEstimate",
+    "DiffusionRadius", "EfgComponents", "FieldPoint", "KineticState", "NuclearField",
+    "PowerSweep", "RadialProfile", "RateBundle", "RegimeReport", "SpinMatrices",
+    "TelegraphEstimate",
 }
 
 

@@ -199,7 +199,7 @@ def test_nuclear_field_diffusion_cap(gaas):
 def test_diffusion_radius_calibration(gaas):
     state = state_for_occupancy(0.5, gaas)
     d = calibrate_diffusion(state, 0.1, gaas)
-    root = diffusion_radius(state, 0.1, d, gaas, include_quadrupolar=False)
+    root = diffusion_radius(state, 0.1, d, gaas, f0=math.inf)
     assert root.has_solution
     assert root.value == pytest.approx(RHO_D_REFERENCE, abs=1e-5)
 
@@ -218,12 +218,12 @@ def test_diffusion_radius_with_quadrupolar_channel(gaas):
 def test_diffusion_radius_no_solution(gaas):
     state = state_for_occupancy(0.5, gaas)
     d = calibrate_diffusion(state, 0.1, gaas)
-    swamped = diffusion_radius(state, 0.1, d * 1e6, gaas, include_quadrupolar=False)
+    swamped = diffusion_radius(state, 0.1, d * 1e6, gaas, f0=math.inf)
     assert not swamped.has_solution
     assert swamped.value is None
     # an empty donor has no hyperfine relaxation to balance diffusion with
     empty = state_for_occupancy(0.0, gaas)
-    assert diffusion_radius(empty, 0.1, d, gaas, include_quadrupolar=False) == (None, False)
+    assert diffusion_radius(empty, 0.1, d, gaas, f0=math.inf) == (None, False)
 
 
 def test_diffusion_radius_past_the_float_range_raises(gaas):
@@ -247,6 +247,23 @@ def test_diffusion_radius_moves_outward_as_diffusion_weakens(gaas):
         if stronger.has_solution:
             assert weaker.has_solution
             assert weaker.value >= stronger.value
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.floats(0.05, 0.95), st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+def test_diffusion_radius_never_shrinks_with_the_quadrupolar_channel(gaas, occ, log_scale,
+                                                                    log_f0):
+    # metamorphic: the quadrupolar channel only adds to the relaxation rate,
+    # so wherever the hyperfine-only balance (f0 = inf) has a root, any f0
+    # has one too, at or past it.  This is why the published ~1.0 a0* of
+    # reference-numbers/diffusion-quad-modified is not reproducible.
+    state = state_for_occupancy(occ, gaas)
+    d = calibrate_diffusion(state, 0.1, gaas) * 10.0 ** log_scale
+    alone = diffusion_radius(state, 0.1, d, gaas, f0=math.inf)
+    both = diffusion_radius(state, 0.1, d, gaas, f0=10.0 ** log_f0)
+    if alone.has_solution:
+        assert both.has_solution
+        assert both.value >= alone.value
 
 
 def test_r_b_solves_its_defining_equation():
@@ -278,7 +295,7 @@ def test_diffusion_radius_without_quadrupolar_is_lambert_w(name, occ, log_scale)
     state = state_for_occupancy(occ, mat)
     d = calibrate_diffusion(state, 0.1, mat) * 10.0 ** log_scale
     q = math.sqrt(d / (_hyperfine_rate_at_bohr(state, 0.1, mat) * mat.bohr_radius ** 2))
-    root = diffusion_radius(state, 0.1, d, mat, include_quadrupolar=False)
+    root = diffusion_radius(state, 0.1, d, mat, f0=math.inf)
     argument = -2.0 * q * math.exp(-2.0)
     assert root.has_solution == (argument >= -math.exp(-1.0))
     if root.has_solution:
@@ -290,13 +307,11 @@ def _scanned_diffusion_radius(state, b_field, d, mat, f0):
     """Outermost sign change of the rate balance on a dense log grid.
 
     Returns the grid cell [r_i, r_i+1] that holds it, or None where the
-    balance is nowhere positive on the grid.  f0 = None leaves the
+    balance is nowhere positive on the grid.  f0 = inf leaves the
     quadrupolar channel out.
     """
     grid = np.geomspace(1e-3, 1e12, 30001)
-    rate = np.exp(-4.0 * (grid - 1.0))
-    if f0 is not None:
-        rate = rate + 2.0 * screening_fraction(grid) ** 2 / (f0 * grid ** 4)
+    rate = np.exp(-4.0 * (grid - 1.0)) + 2.0 * screening_fraction(grid) ** 2 / (f0 * grid ** 4)
     excess = _hyperfine_rate_at_bohr(state, b_field, mat) * rate \
         * (grid * mat.bohr_radius) ** 2 - d
     positive = np.flatnonzero(excess > 0.0)
@@ -313,10 +328,9 @@ def test_diffusion_radius_matches_a_dense_scan(name, occ, log_scale, mode, log_f
     mat = get_material(name)
     state = state_for_occupancy(occ, mat)
     d = calibrate_diffusion(state, 0.1, mat) * 10.0 ** log_scale
-    f0 = {"off": None, "state": intrinsic_ratio(mat) / (occ * (1.0 - occ)),
+    f0 = {"off": math.inf, "state": intrinsic_ratio(mat) / (occ * (1.0 - occ)),
           "override": 10.0 ** log_f0}[mode]
-    root = diffusion_radius(state, 0.1, d, mat, include_quadrupolar=mode != "off",
-                            f0=f0 if mode == "override" else None)
+    root = diffusion_radius(state, 0.1, d, mat, f0=None if mode == "state" else f0)
     cell = _scanned_diffusion_radius(state, 0.1, d, mat, f0)
     assert root.has_solution == (cell is not None)
     if cell is not None:
@@ -374,6 +388,21 @@ def test_power_sweep_does_not_depend_on_the_diffusion_length(scale):
             assert np.array_equal(getattr(base, column), getattr(moved, column)), \
                 (name, column)
         assert (base.f00, base.rho_d) == (moved.f00, moved.rho_d)
+
+
+def test_the_quadrupolar_channel_only_lowers_the_nuclear_field():
+    # metamorphic: switching the channel on leaves the occupancy and carrier
+    # columns alone and can only shrink the radius, so s(rho) and alpha_n
+    # never rise
+    grid = np.geomspace(1e-3, 1e3, 301)
+    assert HYPERFINE_RECORDS
+    for name in HYPERFINE_RECORDS:
+        mat = get_material(name)
+        on, off = power_sweep(grid, mat), power_sweep(grid, mat, quadrupolar=False)
+        for column in ("occupancy", "nf_over_na", "diffusion_flag"):
+            assert np.array_equal(getattr(on, column), getattr(off, column)), (name, column)
+        assert np.all(on.s_rho_q <= off.s_rho_q), name
+        assert np.all(on.alpha_n <= off.alpha_n), name
 
 
 def test_power_sweep_reference_scale(gaas):

@@ -4,9 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from donor_halo import (Geometry, MaterialError, NumericalError, competition,
-                        intrinsic_ratio, radial_profile, rates, state_for_occupancy)
-from donor_halo.kinetics import KineticState, occupancy
+from donor_halo import (Geometry, MaterialError, NumericalError, calibrate_diffusion,
+                        diffusion_radius, intrinsic_ratio, radial_profile, rates,
+                        state_for_occupancy)
+from donor_halo.kinetics import KineticState, occupancy, spectral_density
 from donor_halo.relaxation import log_radial_profile, radial_profile_inverse
 
 
@@ -14,8 +15,7 @@ def test_quadrupolar_rate_off_at_full_and_empty(gaas):
     empty = state_for_occupancy(0.0, gaas)
     assert rates(0.7, Geometry(), empty, 0.1, gaas).inv_t1q == 0.0
     assert rates(0.7, Geometry(), empty, 0.1, gaas).inv_t1h == 0.0
-    full = KineticState(occupancy=1.0, free_density=1e30, tau_quad=1e-12,
-                        tau_hyper=1e-13, tau_r=1e-9, tau_capture=1e-12)
+    full = KineticState(occupancy=1.0, free_density=1e30, tau_quad=1e-12, tau_hyper=1e-13)
     assert rates(0.7, Geometry(), full, 0.1, gaas).inv_t1q == 0.0
 
 
@@ -27,11 +27,20 @@ def test_quadrupolar_rate_angular_ratio(gaas):
 
 
 def test_rate_frequencies(gaas):
+    # at B = 2 T the channels sample their spectral densities at gamma B and
+    # 2 gamma B (quadrupolar) and at the flip-flop frequency gamma_e B
     state = state_for_occupancy(0.4, gaas)
-    bundle = rates(1.0, Geometry(), state, 2.0, gaas)
-    assert bundle.omega_1 == pytest.approx(gaas.gamma * 2.0)
-    assert bundle.omega_2 == pytest.approx(2.0 * bundle.omega_1)
-    assert bundle.omega_h == pytest.approx(gaas.gamma_e * 2.0)
+    at_zero = rates(1.0, Geometry(theta=0.7), state, 0.0, gaas)
+    bundle = rates(1.0, Geometry(theta=0.7), state, 2.0, gaas)
+    assert bundle.inv_t1h / at_zero.inv_t1h == pytest.approx(
+        spectral_density(gaas.gamma_e * 2.0, 1.0, state.tau_hyper)
+        / spectral_density(0.0, 1.0, state.tau_hyper), rel=1e-12)
+    k1 = math.sin(0.7) ** 2 * 0.25    # angular weights (2/5) sin^2 : (8/5) cos^2
+    k2 = math.cos(0.7) ** 2
+    expect = (k1 * spectral_density(gaas.gamma * 2.0, 1.0, state.tau_quad)
+              + k2 * spectral_density(gaas.gamma * 4.0, 1.0, state.tau_quad)) \
+        / ((k1 + k2) * spectral_density(0.0, 1.0, state.tau_quad))
+    assert bundle.inv_t1q / at_zero.inv_t1q == pytest.approx(expect, rel=1e-12)
 
 
 def test_rate_proportionalities(gaas):
@@ -39,8 +48,7 @@ def test_rate_proportionalities(gaas):
     base = state_for_occupancy(0.5, gaas)
     for occ in (0.2, 0.7):
         state = KineticState(occupancy=occ, free_density=base.free_density,
-                             tau_quad=base.tau_quad, tau_hyper=base.tau_hyper,
-                             tau_r=base.tau_r, tau_capture=base.tau_capture)
+                             tau_quad=base.tau_quad, tau_hyper=base.tau_hyper)
         ref = rates(0.9, Geometry(theta=1.0), base, 0.0, gaas)
         cur = rates(0.9, Geometry(theta=1.0), state, 0.0, gaas)
         assert cur.inv_t1q / ref.inv_t1q == pytest.approx(
@@ -57,25 +65,34 @@ def test_intrinsic_ratio_window(gaas):
 def test_intrinsic_ratio_state_independent(gaas):
     values = {intrinsic_ratio(gaas) for _ in range(3)}
     assert len(values) == 1
+    # the zero-field rate ratio, stripped of occupancy, radius and angle
     for gamma_t in (0.2, 0.5, 0.8):
         state = state_for_occupancy(gamma_t, gaas)
-        assert competition(1.0, 0.3, state, gaas).f00 == pytest.approx(
-            intrinsic_ratio(gaas), rel=1e-14)
+        f = rates(1.0, Geometry(theta=0.3), state, 0.0, gaas).f
+        assert f * gamma_t * (1.0 - gamma_t) * (1.0 + 3.0 * math.cos(0.3) ** 2) \
+            / radial_profile(1.0) == pytest.approx(intrinsic_ratio(gaas), rel=1e-10)
 
 
 def test_competition_factorization(gaas):
-    state = state_for_occupancy(0.5, gaas)
-    factors = competition(1.3, 0.8, state, gaas)
-    assert factors.f0 == pytest.approx(factors.f00 / 0.25, rel=1e-14)
-    assert factors.f == pytest.approx(
-        factors.f0 * factors.radial / factors.angular_denominator, rel=1e-14)
-    assert factors.angular_denominator == pytest.approx(
-        1.0 + 3.0 * math.cos(0.8) ** 2)
+    # each factor of f0 phi(r) / (1 + 3 cos^2 theta) carries one variable
+    def f(r, theta, occ):
+        return rates(r, Geometry(theta=theta), state_for_occupancy(occ, gaas), 0.0, gaas).f
+
+    base = f(1.3, 0.8, 0.5)
+    assert f(0.6, 0.8, 0.5) / base == pytest.approx(
+        radial_profile(0.6) / radial_profile(1.3), rel=1e-10)
+    assert f(1.3, 0.2, 0.5) / base == pytest.approx(
+        (1.0 + 3.0 * math.cos(0.8) ** 2) / (1.0 + 3.0 * math.cos(0.2) ** 2), rel=1e-10)
+    assert f(1.3, 0.8, 0.2) / base == pytest.approx(0.25 / 0.16, rel=1e-10)
 
 
 def test_competition_rejects_extreme_occupancy(gaas):
-    with pytest.raises(MaterialError):
-        competition(1.0, 0.0, state_for_occupancy(0.0, gaas), gaas)
+    # f0 = f00 / [occ (1-occ)] has no value at occupancy 0, so the balance
+    # that derives f0 from the state refuses it
+    state = state_for_occupancy(0.5, gaas)
+    d = calibrate_diffusion(state, 0.1, gaas)
+    with pytest.raises(MaterialError, match="occupancy must be in"):
+        diffusion_radius(state_for_occupancy(0.0, gaas), 0.1, d, gaas)
 
 
 def test_rate_quotient_equals_factorized_ratio(gaas):
@@ -86,8 +103,9 @@ def test_rate_quotient_equals_factorized_ratio(gaas):
         for r in (0.5, 1.0, 1.8):
             for theta in (0.0, 0.9, math.pi / 2.0):
                 bundle = rates(r, Geometry(theta=theta), state, 0.0, gaas)
-                factors = competition(r, theta, state, gaas)
-                assert bundle.f == pytest.approx(factors.f, rel=1e-10)
+                f0 = intrinsic_ratio(gaas) / (gamma_t * (1.0 - gamma_t))
+                assert bundle.f == pytest.approx(
+                    f0 * radial_profile(r) / (1.0 + 3.0 * math.cos(theta) ** 2), rel=1e-10)
 
 
 def test_quadrupolar_rate_amplitude_wiring(gaas):

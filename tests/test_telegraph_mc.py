@@ -19,7 +19,7 @@ def test_estimator_matches_exact_statistics():
     exact_rate = 1.0 / tau_occ + 1.0 / tau_empty
     exact_amp = telegraph_amplitude(occ, SCREEN)
     assert abs(est.mean) <= 3.0 * est.mean_se
-    assert abs(est.amplitude - exact_amp) <= 3.0 * est.acf_se[0] + 1e-12
+    assert abs(est.acf[0] - exact_amp) <= 3.0 * est.acf_se[0] + 1e-12
     assert est.decay_rate == pytest.approx(exact_rate, rel=0.05)
     for k, lag in enumerate(est.lag_times):
         expect = exact_amp * math.exp(-exact_rate * lag)
@@ -29,7 +29,6 @@ def test_estimator_matches_exact_statistics():
 def test_estimator_reproducible():
     a = simulate_telegraph(SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=5)
     b = simulate_telegraph(SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=5)
-    assert a.amplitude == b.amplitude
     assert np.array_equal(a.acf, b.acf)
     c = simulate_telegraph(SCREEN, 1.0, 7.0 / 3.0, n_dwell=20_000, seed=6)
     assert not np.array_equal(a.acf, c.acf)
@@ -45,7 +44,7 @@ def test_estimator_error_shrinks_with_samples():
     errors = {}
     for n in (16_000, 256_000):
         runs = [simulate_telegraph(SCREEN, 1.0, 3.0, n_dwell=n,
-                                   seed=1000 + k).amplitude for k in range(8)]
+                                   seed=1000 + k).acf[0] for k in range(8)]
         errors[n] = float(np.mean([abs(a - exact) for a in runs]))
     # 16x the dwell events should shrink the error about 4x
     assert 0.15 <= errors[256_000] / errors[16_000] <= 0.6
@@ -104,12 +103,8 @@ def reference_telegraph(screening, tau_occupied, tau_empty, n_dwell, seed,
     k_max = int(below[0]) if below.size else n_lags
     k_max = max(k_max, 4)
     slope = np.polyfit(lags[:k_max] * dt, np.log(acf[:k_max]), 1)[0]
-    return TelegraphEstimate(
-        lag_times=lags * dt, acf=acf, acf_se=acf_se,
-        mean=mean, mean_se=mean_se,
-        decay_rate=float(-slope), amplitude=float(acf[0]),
-        dwell_count=n_dwell, total_time=total,
-    )
+    return TelegraphEstimate(lag_times=lags * dt, acf=acf, acf_se=acf_se, mean=mean,
+                             mean_se=mean_se, decay_rate=float(-slope), total_time=total)
 
 
 #: counting and summing floats round differently; an exact zero (acf_se[0]
@@ -130,14 +125,12 @@ def assert_matches_reference(screening, tau_occupied, tau_empty, n_dwell, seed, 
     est = simulate_telegraph(*args, **options)
     assert np.array_equal(est.lag_times, ref.lag_times)
     assert est.total_time == ref.total_time
-    assert est.dwell_count == ref.dwell_count
     occ = tau_occupied / (tau_occupied + tau_empty)
     h_scale = max(abs(h) for h in telegraph_values(occ, screening))
     for name, scale in (("acf", h_scale ** 2), ("acf_se", h_scale ** 2),
                         ("mean", h_scale), ("mean_se", h_scale)):
         np.testing.assert_allclose(getattr(est, name), getattr(ref, name),
                                    rtol=RTOL, atol=ATOL_SCALE * scale, err_msg=name)
-    assert est.amplitude == est.acf[0]
     np.testing.assert_allclose(est.decay_rate, ref.decay_rate, rtol=RTOL, equal_nan=True)
 
 
@@ -209,10 +202,10 @@ def test_estimator_matches_reference_across_chunks(n_dwell, seed, first_occupied
 @pytest.mark.parametrize("n", [16_000, 256_000])
 @pytest.mark.parametrize("seed", [20260810, 1000])
 def test_amplitude_does_not_depend_on_lag_count(n, seed):
-    # properties/mc-convergence reads only the amplitude and asks for 4 lags
+    # properties/mc-convergence reads only the amplitude acf[0] and asks for 4 lags
     short = simulate_telegraph(SCREEN, 1.0, 3.0, n_dwell=n, seed=seed, n_lags=4)
     full = simulate_telegraph(SCREEN, 1.0, 3.0, n_dwell=n, seed=seed)
-    assert short.amplitude == full.amplitude
+    assert short.acf[0] == full.acf[0]
 
 
 @pytest.mark.parametrize(
@@ -233,22 +226,34 @@ def test_estimator_rejects_bad_options(options, match):
         simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=1000, seed=1, **options)
 
 
+#: what a refusal of the grid names: the three settings that size it
+GRID_CAUSES = ("n_dwell", "samples_per_dwell", "ratio of the dwell times")
+
+
 @pytest.mark.parametrize(
-    "samples_per_dwell, match",
+    "tau_occupied, tau_empty, samples_per_dwell, match, names",
     [
         # the grid passes int64 before any sample index is cast
-        (1e300, r"passes 2\*\*62 samples"),
+        (1.0, 1.0, 1e300, r"passes 2\*\*62 samples", GRID_CAUSES),
         # the grid fits int64, but its packed words would take 112 PiB
-        (1e15, "more than can be allocated"),
+        (1.0, 1.0, 1e15, "more than can be allocated", GRID_CAUSES),
+        # a finite run whose grid passes int64 at 5 samples per shorter dwell
+        (1e300, 1e-300, 5.0, r"passes 2\*\*62 samples", GRID_CAUSES),
+        # the scaled dwells overflow: no grid, the dwell times are at fault
+        (1e308, 1.0, 5.0, "^dwell times 1e\\+308 and 1 run 1000 dwell events past the "
+         "float range", ()),
     ],
+    ids=[r"1e+300-passes 2\*\*62 samples", "1000000000000000.0-more than can be allocated",
+         "finite-run-past-int64", "dwells-past-the-float-range"],
 )
-def test_estimator_refuses_a_grid_too_large(samples_per_dwell, match):
+def test_estimator_refuses_a_grid_too_large(tau_occupied, tau_empty, samples_per_dwell,
+                                            match, names):
     with pytest.raises(MaterialError, match=match) as err:
-        simulate_telegraph(SCREEN, 1.0, 1.0, n_dwell=1000, seed=1,
+        simulate_telegraph(SCREEN, tau_occupied, tau_empty, n_dwell=1000, seed=1,
                            samples_per_dwell=samples_per_dwell)
     message = str(err.value)
     assert "\n" not in message
-    assert "n_dwell" in message and "samples_per_dwell" in message
+    assert all(name in message for name in names)
 
 
 def test_estimator_rejects_a_non_positive_acf_in_the_fit():

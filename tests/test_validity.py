@@ -53,7 +53,8 @@ def test_radius_at_reduced_threshold(gaas):
 def test_motional_regime(gaas):
     state = occupancy(1e21, gaas)
     regime = motional_regime(1.0, state, gaas)
-    assert regime.omega2_tau == pytest.approx(2.0 * regime.omega1_tau)
+    report = build_report(1.0, 0.5, state, Geometry(), gaas)
+    assert report.omega2_tau == 2.0 * report.omega1_tau == 2.0 * regime.omega1_tau
     assert regime.narrowed
     # the hyperfine product crosses unity within a factor 3 of 20 T
     b_star = 1.0 / (gaas.gamma_e * state.tau_hyper)
