@@ -59,6 +59,14 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
+def _worst(deviations: Iterable[float]) -> float:
+    """The largest deviation, NaN if any is NaN, 0.0 for none.
+
+    A NaN fails every ``worst <= tol`` test, where ``max`` would drop it.
+    """
+    return float(np.max(np.fromiter(deviations, dtype=float), initial=0.0))
+
+
 # --------------------------------------------------------------------------
 # exact oracles
 # --------------------------------------------------------------------------
@@ -69,41 +77,39 @@ _SCREEN_BOHR = fields.screening_fraction(1.0)
 
 
 def _check_k_factors() -> tuple[bool, str]:
-    thetas = np.linspace(0.0, math.pi, 32)
-    worst = 0.0
-    for spin in _SPINS:
-        for theta in thetas:
-            for k in (1, 2):
-                trace = oracles.angular_factor_trace(k, float(theta), spin)
-                closed = spin_algebra.angular_factor(k, float(theta), spin)
-                if spin < 1.0:
-                    worst = max(worst, abs(trace), abs(closed))
-                else:
-                    worst = max(worst, _rel(trace, closed))
+    def deviation(k: int, theta: float, spin: float) -> float:
+        trace = oracles.angular_factor_trace(k, theta, spin)
+        closed = spin_algebra.angular_factor(k, theta, spin)
+        # spin 1/2 has no quadrupole moment: both vanish
+        return _worst((abs(trace), abs(closed))) if spin < 1.0 else _rel(trace, closed)
+
+    worst = _worst(deviation(k, float(theta), spin) for spin in _SPINS
+                   for theta in np.linspace(0.0, math.pi, 32) for k in (1, 2))
     return worst <= 1e-10, f"max deviation {worst:.2e} (tol 1e-10)"
 
 
 def _check_iz_traces() -> tuple[bool, str]:
-    worst = 0.0
-    for spin in _SPINS:
+    def deviations(spin: float) -> tuple[float, float]:
         ops = spin_algebra.build_spin_operators(spin)
         iz2 = float(np.trace(ops.iz @ ops.iz).real)
         iz4 = float(np.trace(ops.iz @ ops.iz @ ops.iz @ ops.iz).real)
-        worst = max(worst, _rel(iz2, spin_algebra.trace_iz2(spin)),
-                    _rel(iz4, spin_algebra.trace_iz4(spin)))
+        return _rel(iz2, spin_algebra.trace_iz2(spin)), _rel(iz4, spin_algebra.trace_iz4(spin))
+
+    worst = _worst(d for spin in _SPINS for d in deviations(spin))
     return worst <= 1e-12, f"max rel deviation {worst:.2e} (tol 1e-12)"
 
 
 def _check_redfield() -> tuple[bool, str]:
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(24):
+
+    def deviation() -> float:
         spin = float(rng.choice([1.0, 1.5, 2.5, 4.5]))
         theta = float(rng.uniform(0.0, math.pi))
         j1, j2 = rng.uniform(0.1, 10.0, size=2) * 1e-9
-        sup = oracles.redfield_rate_superoperator(spin, theta, j1, j2)
-        ana = spin_algebra.redfield_rate_analytic(spin, theta, j1, j2)
-        worst = max(worst, _rel(sup, ana))
+        return _rel(oracles.redfield_rate_superoperator(spin, theta, j1, j2),
+                    spin_algebra.redfield_rate_analytic(spin, theta, j1, j2))
+
+    worst = _worst(deviation() for _ in range(24))
     half = oracles.redfield_rate_superoperator(0.5, 1.0, 1e-9, 1e-9)
     ok = worst <= 1e-8 and abs(half) < 1e-30
     return ok, f"max rel deviation {worst:.2e} (tol 1e-8), spin-1/2 rate {half:.1e}"
@@ -112,8 +118,8 @@ def _check_redfield() -> tuple[bool, str]:
 def _check_efg_rotation() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     r14 = 3.2e12
-    worst = 0.0
-    for _ in range(100):
+
+    def deviation() -> float:
         geo = fields.Geometry(theta=float(rng.uniform(0, math.pi)),
                               phi=float(rng.uniform(0, 2 * math.pi)),
                               theta_b=float(rng.uniform(0, math.pi)),
@@ -121,8 +127,10 @@ def _check_efg_rotation() -> tuple[bool, str]:
         e_vec = rng.normal(size=3) * 1e6
         closed = fields.efg_transform(e_vec, geo, r14)
         oracle = oracles.efg_transform_rotation(e_vec, geo, r14)
-        scale = max(max(abs(c) for c in closed), 1e-300)
-        worst = max(worst, max(abs(c - o) for c, o in zip(closed, oracle)) / scale)
+        scale = max(_worst(abs(c) for c in closed), 1e-300)
+        return _worst(abs(c - o) for c, o in zip(closed, oracle)) / scale
+
+    worst = _worst(deviation() for _ in range(100))
     # surface-normal special case: only the three cross components survive
     theta, phi, e_mag = 0.77, 1.23, 2.5e6
     geo0 = fields.Geometry(theta=theta, phi=phi)
@@ -130,100 +138,93 @@ def _check_efg_rotation() -> tuple[bool, str]:
     expect = (r14 * e_mag * math.cos(theta),
               r14 * e_mag * math.sin(theta) * math.cos(phi),
               r14 * e_mag * math.sin(theta) * math.sin(phi))
-    special = max(_rel(v.xy, expect[0]), _rel(v.yz, expect[1]), _rel(v.xz, expect[2]),
-                  abs(v.xx) / (r14 * e_mag), abs(v.yy) / (r14 * e_mag),
-                  abs(v.zz) / (r14 * e_mag))
+    special = _worst((_rel(v.xy, expect[0]), _rel(v.yz, expect[1]), _rel(v.xz, expect[2]),
+                      abs(v.xx) / (r14 * e_mag), abs(v.yy) / (r14 * e_mag),
+                      abs(v.zz) / (r14 * e_mag)))
     ok = worst <= 1e-10 and special <= 1e-12
     return ok, f"rotation max rel {worst:.2e} (tol 1e-10), axial case {special:.2e}"
 
 
 def _check_sphere_average() -> tuple[bool, str]:
-    worst = 0.0
-    for r in (0.05, 0.1, 0.35, 0.5, 1.0, 2.0, 5.0):
-        for f0 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-            closed = polarization.p_avg(r, f0)
-            numeric = oracles.p_avg_quadrature(r, f0)
-            worst = max(worst, abs(closed - numeric))
+    worst = _worst(abs(polarization.p_avg(r, f0) - oracles.p_avg_quadrature(r, f0))
+                   for r in (0.05, 0.1, 0.35, 0.5, 1.0, 2.0, 5.0)
+                   for f0 in (1e-4, 1e-3, 1e-2, 1e-1, 1.0))
     return worst <= 1e-9, f"max |closed - quadrature| {worst:.2e} (tol 1e-9)"
 
 
 def _check_telegraph_conditionals() -> tuple[bool, str]:
-    worst_p = 0.0
-    worst_g = 0.0
-    for occ in (0.2, 0.5, 0.8):
-        tau_occ = 1.3e-9
+    tau_occ = 1.3e-9
+
+    def deviations(occ: float, tau: float) -> tuple[float, float]:
         tau_empty = tau_occ * (1.0 - occ) / occ
-        amplitude = kinetics.telegraph_amplitude(occ, _SCREEN_BOHR)
-        for tau in (0.0, 0.3e-9, 1.1e-9, 5.0e-9):
-            closed = kinetics.telegraph_p_matrix(tau, tau_occ, tau_empty)
-            oracle = oracles.telegraph_p_matrix_expm(tau, tau_occ, tau_empty)
-            worst_p = max(worst_p, float(np.abs(closed - oracle).max()))
-            g = kinetics.telegraph_correlation(tau, _SCREEN_BOHR, tau_occ, tau_empty)
-            recon = oracles.telegraph_correlation_conditionals(tau, _SCREEN_BOHR, tau_occ,
-                                                               tau_empty)
-            # deviation measured against the zero-lag amplitude so deep in
-            # the exponential tail rounding noise does not dominate
-            worst_g = max(worst_g, abs(g - recon) / amplitude)
+        closed = kinetics.telegraph_p_matrix(tau, tau_occ, tau_empty)
+        oracle = oracles.telegraph_p_matrix_expm(tau, tau_occ, tau_empty)
+        g = kinetics.telegraph_correlation(tau, _SCREEN_BOHR, tau_occ, tau_empty)
+        recon = oracles.telegraph_correlation_conditionals(tau, _SCREEN_BOHR, tau_occ, tau_empty)
+        # deviation measured against the zero-lag amplitude so deep in
+        # the exponential tail rounding noise does not dominate
+        return (float(np.abs(closed - oracle).max()),
+                abs(g - recon) / kinetics.telegraph_amplitude(occ, _SCREEN_BOHR))
+
+    # one _worst per column of the (P, correlation) deviation pairs
+    worst_p, worst_g = map(_worst, zip(*(deviations(occ, tau) for occ in (0.2, 0.5, 0.8)
+                                         for tau in (0.0, 0.3e-9, 1.1e-9, 5.0e-9))))
     ok = worst_p <= 1e-12 and worst_g <= 1e-12
     return ok, f"P vs expm {worst_p:.2e}, correlation reconstruction {worst_g:.2e} (tol 1e-12)"
 
 
 def _check_screening_cdf() -> tuple[bool, str]:
-    worst = 0.0
-    for r in (0.1, 0.25, 0.5, 1.0, 1.7, 3.0, 6.0):
-        integral = oracles.screening_cdf_quadrature(r)
-        worst = max(worst, abs(integral - fields.screening_fraction(r)))
+    worst = _worst(abs(oracles.screening_cdf_quadrature(r) - fields.screening_fraction(r))
+                   for r in (0.1, 0.25, 0.5, 1.0, 1.7, 3.0, 6.0))
     return worst <= 1e-10, f"max |CDF - closed| {worst:.2e} (tol 1e-10)"
 
 
 def _check_power_balance() -> tuple[bool, str]:
     mat = get_material("GaAs:As75")
-    worst_res = 0.0
-    worst_rt = 0.0
-    for gamma_t in (0.05, 0.2, 0.5, 0.8, 0.9):
+
+    def deviations(gamma_t: float) -> tuple[float, float]:
         res = oracles.power_map_residuals(gamma_t, mat)
-        worst_res = max(worst_res, res["trapping"], res["generation"])
         power = kinetics.power_map(gamma_t, mat).power
-        worst_rt = max(worst_rt, abs(kinetics.invert_power(power, mat) - gamma_t))
+        return (_worst((res["trapping"], res["generation"])),
+                abs(kinetics.invert_power(power, mat) - gamma_t))
+
+    worst_res, worst_rt = map(_worst, zip(*map(deviations, (0.05, 0.2, 0.5, 0.8, 0.9))))
     ok = worst_res <= 1e-8 and worst_rt <= 1e-9
     return ok, f"balance residual {worst_res:.2e} (tol 1e-8), round trip {worst_rt:.2e} (tol 1e-9)"
 
 
 def _check_spectral_density() -> tuple[bool, str]:
     rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(12):
+
+    def deviation() -> float:
         tau_c = float(rng.uniform(0.1, 10.0)) * 1e-9
         omega = float(rng.uniform(0.0, 5.0)) / tau_c
-        closed = kinetics.spectral_density(omega, 1.7, tau_c)
-        numeric = oracles.spectral_density_quadrature(omega, 1.7, tau_c)
-        worst = max(worst, _rel(closed, numeric))
+        return _rel(kinetics.spectral_density(omega, 1.7, tau_c),
+                    oracles.spectral_density_quadrature(omega, 1.7, tau_c))
+
+    worst = _worst(deviation() for _ in range(12))
     return worst <= 1e-8, f"max rel deviation {worst:.2e} (tol 1e-8)"
 
 
 def _check_local_field_trace() -> tuple[bool, str]:
     mat = get_material("GaAs:As75")
-    worst = 0.0
-    for spin in (1.0, 1.5, 2.5, 4.5):
-        probe = mat.with_overrides(spin=spin, b_q=compute_bq(
-            mat.r14, mat.quadrupole_moment, spin, mat.gamma))
-        for theta in (0.0, 0.4, 1.1, math.pi / 2):
-            geo = fields.Geometry(theta=theta, phi=0.9)
-            worst = max(worst, _rel(spin_algebra.bq_local_field(0.5, 0.3, geo, probe),
-                                    oracles.bq_local_field_trace(0.5, 0.3, geo, probe)))
+    probes = [mat.with_overrides(spin=spin, b_q=compute_bq(
+        mat.r14, mat.quadrupole_moment, spin, mat.gamma)) for spin in (1.0, 1.5, 2.5, 4.5)]
+    geometries = [fields.Geometry(theta=theta, phi=0.9) for theta in (0.0, 0.4, 1.1, math.pi / 2)]
+    worst = _worst(_rel(spin_algebra.bq_local_field(0.5, 0.3, geo, probe),
+                        oracles.bq_local_field_trace(0.5, 0.3, geo, probe))
+                   for probe in probes for geo in geometries)
     return worst <= 1e-10, f"max rel deviation {worst:.2e} (tol 1e-10)"
 
 
 def _check_hamiltonian_forms() -> tuple[bool, str]:
     mat = get_material("GaAs:As75")
     rng = np.random.default_rng(11)
-    worst_equiv = 0.0
-    worst_herm = 0.0
-    worst_trace = 0.0
     point = fields.donor_field(0.7, 0.0, mat)
     f0q_exact = (spin_algebra.E_CHARGE * mat.r14 * mat.quadrupole_moment
                  / (4.0 * mat.spin * (2.0 * mat.spin - 1.0))) * point.e_off
-    for _ in range(20):
+
+    def deviations() -> tuple[float, float, float]:
         theta = float(rng.uniform(0, math.pi))
         phi = float(rng.uniform(0, 2 * math.pi))
         geo = fields.Geometry(theta=theta, phi=phi,
@@ -232,26 +233,22 @@ def _check_hamiltonian_forms() -> tuple[bool, str]:
         e_vec = point.e_off * fields.field_direction(theta, phi)
         h = spin_algebra.build_hq_general(e_vec, geo, mat)
         scale = max(float(np.abs(h).max()), 1e-300)
-        worst_herm = max(worst_herm, float(np.abs(h - h.conj().T).max()) / scale)
-        worst_trace = max(worst_trace, abs(np.trace(h)) / scale)
-        axial = spin_algebra.build_hq_axial(
-            f0q_exact, theta, phi, mat.spin)
-        h0 = spin_algebra.build_hq_general(
-            e_vec, fields.Geometry(theta=theta, phi=phi), mat)
-        worst_equiv = max(worst_equiv, float(np.abs(h0 - axial).max()) / scale)
+        axial = spin_algebra.build_hq_axial(f0q_exact, theta, phi, mat.spin)
+        h0 = spin_algebra.build_hq_general(e_vec, fields.Geometry(theta=theta, phi=phi), mat)
+        return (float(np.abs(h0 - axial).max()) / scale,
+                float(np.abs(h - h.conj().T).max()) / scale, abs(np.trace(h)) / scale)
+
+    # one _worst per column of the (equivalence, hermiticity, trace) deviations
+    worst_equiv, worst_herm, worst_trace = map(_worst, zip(*(deviations() for _ in range(20))))
     # the spectrum cannot depend on the quantization-frame orientation
-    worst_frame = 0.0
     e_fixed = rng.normal(size=3) * 1e6
-    reference = None
-    for _ in range(8):
-        geo = fields.Geometry(theta_b=float(rng.uniform(0, math.pi)),
-                              phi_b=float(rng.uniform(0, 2 * math.pi)))
-        eigs = np.linalg.eigvalsh(spin_algebra.build_hq_general(e_fixed, geo, mat))
-        if reference is None:
-            reference = eigs
-        else:
-            worst_frame = max(worst_frame, float(np.abs(eigs - reference).max())
-                              / float(np.abs(reference).max()))
+    spectra = [np.linalg.eigvalsh(spin_algebra.build_hq_general(
+        e_fixed, fields.Geometry(theta_b=float(rng.uniform(0, math.pi)),
+                                 phi_b=float(rng.uniform(0, 2 * math.pi))), mat))
+        for _ in range(8)]
+    reference = spectra[0]
+    worst_frame = _worst(float(np.abs(eigs - reference).max()) / float(np.abs(reference).max())
+                         for eigs in spectra[1:])
     ok = worst_equiv <= 1e-10 and worst_herm <= 1e-12 and worst_trace <= 1e-12 \
         and worst_frame <= 1e-10
     return ok, (f"axial equivalence {worst_equiv:.2e}, hermiticity {worst_herm:.2e}, "
@@ -400,9 +397,8 @@ def reference_number_suite() -> list[CheckResult]:
         return ok, f"alpha_n strictly decreasing over {tail.size} high-power points"
 
     def coupling_table() -> tuple[bool, str]:
-        worst = 0.0
-        for record in load_registry().values():
-            worst = max(worst, abs(record.bq_recomputed() - record.b_q) / record.b_q)
+        worst = _worst(abs(record.bq_recomputed() - record.b_q) / record.b_q
+                       for record in load_registry().values())
         return worst <= 0.10, f"worst b_q round-trip deviation {worst:.2%} (tol 10%)"
 
     return _run("reference-numbers", [
@@ -494,21 +490,22 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
 
     def efg_shape() -> tuple[bool, str]:
         rng = np.random.default_rng(seed)
-        worst_trace = 0.0
-        worst_sym = 0.0
-        for _ in range(50):
+
+        def deviations() -> tuple[float, float]:
             geo = fields.Geometry(theta=float(rng.uniform(0, math.pi)),
                                   phi=float(rng.uniform(0, 2 * math.pi)),
                                   theta_b=float(rng.uniform(0, math.pi)),
                                   phi_b=float(rng.uniform(0, 2 * math.pi)))
             e_vec = rng.normal(size=3) * 1e6
             v = fields.efg_transform(e_vec, geo, mat.r14)
-            scale = max(max(abs(c) for c in v), 1e-300)
-            worst_trace = max(worst_trace, abs(v.xx + v.yy + v.zz) / scale)
+            scale = max(_worst(abs(c) for c in v), 1e-300)
             # full-matrix congruence stays symmetric under the frame change
             rot = fields.rotation_to_field_frame(geo.theta_b, geo.phi_b)
             full = rot @ fields.efg_crystal_frame(e_vec, mat.r14) @ rot.T
-            worst_sym = max(worst_sym, float(np.abs(full - full.T).max()) / scale)
+            return (abs(v.xx + v.yy + v.zz) / scale,
+                    float(np.abs(full - full.T).max()) / scale)
+
+        worst_trace, worst_sym = map(_worst, zip(*(deviations() for _ in range(50))))
         ok = worst_trace <= 1e-12 and worst_sym <= 1e-12
         return ok, (f"traceless to {worst_trace:.2e}, symmetric to {worst_sym:.2e} "
                     "over 50 random geometries")
@@ -518,20 +515,20 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
         return abs(weight - 1.0) <= 2e-8, \
             f"orbital weight integrates to {weight:.10f} (fully polarized halo bound)"
 
+    def spin_temperature_radii() -> list[tuple[float, float]]:
+        """(B, spin-temperature radius r_q at B) over four decades of B."""
+        return [(b, validity.spin_temperature_limit(float(b), mat).r_q)
+                for b in np.geomspace(1e-3, 10.0, 9)]
+
     def eta_power_law() -> tuple[bool, str]:
         eta = validity.spin_temperature_eta(mat)
-        worst = 0.0
-        for b in np.geomspace(1e-3, 10.0, 9):
-            r_q = validity.spin_temperature_limit(float(b), mat).r_q
-            worst = max(worst, abs(r_q * b ** 0.2 - eta) / eta)
+        worst = _worst(abs(r_q * b ** 0.2 - eta) / eta for b, r_q in spin_temperature_radii())
         return worst <= 1e-6, f"r_q B^(1/5) constant to {worst:.2e} (tol 1e-6)"
 
     def threshold_inverse() -> tuple[bool, str]:
         eta = validity.spin_temperature_eta(mat)
-        worst = 0.0
-        for b in np.geomspace(1e-3, 10.0, 9):
-            r_q = validity.spin_temperature_limit(float(b), mat).r_q
-            worst = max(worst, abs(validity.field_threshold(r_q, eta) - b) / b)
+        worst = _worst(abs(validity.field_threshold(r_q, eta) - b) / b
+                       for b, r_q in spin_temperature_radii())
         return worst <= 1e-10, f"threshold(radius(B)) = B to {worst:.2e}"
 
     def shift_difference_slope() -> tuple[bool, str]:

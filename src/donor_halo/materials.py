@@ -96,11 +96,12 @@ class MaterialRecord:
         for f in self.__dataclass_fields__.values():
             value = getattr(self, f.name)
             if f.type == "str":
-                # dump_record writes it on one line, where '#' would start a comment
+                # dump_record writes it on one line, where '#' would start a
+                # comment, and parse_registry strips the blanks around it
                 one_line = isinstance(value, str) and "".join(value.splitlines()) == value
-                if not one_line or "#" in value:
-                    raise MaterialError(f"{f.name} must be one line of text without '#', "
-                                        f"got {value!r}")
+                if not one_line or "#" in value or value.strip() != value:
+                    raise MaterialError(f"{f.name} must be one line of text without '#' "
+                                        f"or outer blanks, got {value!r}")
             elif value is not None:                         # every number it declares
                 require(value, f"{self.name or '<record>'}: {f.name}", POSITIVE_FINITE)
         if self.acceptor_density <= self.donor_density:

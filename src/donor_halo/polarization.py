@@ -232,7 +232,8 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     ratio 2/(f0 * phi(r)); by default f0 follows from the kinetic state,
     and can be overridden to probe a prescribed competition strength.
     f0 = inf turns the channel off: the balance is then the hyperfine
-    rate alone against diffusion.
+    rate alone against diffusion.  A derived f0 past the float range
+    (occupancy below about 1e-321) is that inf.
 
     On u = log r the balance is L = log(Gamma_1 a0*^2 / D) + log(r^2
     e^{-4(r-1)} + 2 s^2 / (f0 r^2)), Gamma_1 the hyperfine rate at r = 1.
@@ -245,7 +246,7 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     require(diffusion_constant, "diffusion constant", POSITIVE_FINITE)
     if f0 is None:
         occ = require(state.occupancy, "occupancy", UNIT_OPEN)
-        f0 = require(intrinsic_ratio(mat) / (occ * (1.0 - occ)), "f0", POSITIVE_FINITE)
+        f0 = intrinsic_ratio(mat) / (occ * (1.0 - occ))     # inf past the float range
     log_quad = _LOG_2 - math.log(require(f0, "f0", POSITIVE))   # -inf at f0 = inf
     rate_bohr = _hyperfine_rate(1.0, state, b_field, mat)
     if not rate_bohr > 0.0:

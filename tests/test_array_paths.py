@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from donor_halo import (get_material, half_polarization_radius, invert_power,
                         list_materials, p_avg, p_point, quadrupolar_radius,
                         radial_profile, screening_fraction)
-from donor_halo.kinetics import power_scale
+from donor_halo.kinetics import power_map, power_scale
 from donor_halo.oracles import quadrupolar_radius_bisection
 from donor_halo.polarization import A_STAR
 
@@ -66,3 +66,47 @@ def test_invert_power_array_equals_scalar_loop(name, exponents):
     together = invert_power(powers, mat)
     alone = np.array([invert_power(float(p), mat) for p in powers])
     assert np.array_equal(together, alone)
+
+
+@st.composite
+def two_batches(draw, elements):
+    """Two arrays of drawn rows, and a permutation of the first one's rows."""
+    first = np.array(draw(st.lists(elements, min_size=1, max_size=10)))
+    second = np.array(draw(st.lists(elements, min_size=1, max_size=10)))
+    return first, second, np.array(draw(st.permutations(range(len(first)))))
+
+
+def _assert_elementwise(func, batches):
+    # the lockstep array paths must not couple elements: a permuted array
+    # gives the permuted results, two concatenated arrays the concatenated
+    # results, bit for bit
+    first, second, order = batches
+    assert np.array_equal(func(first[order]), func(first)[order])
+    assert np.array_equal(func(np.concatenate((first, second))),
+                          np.concatenate((func(first), func(second))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(two_batches(log_f0))
+def test_quadrupolar_radius_is_elementwise(batches):
+    _assert_elementwise(lambda x: quadrupolar_radius(10.0 ** x), batches)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(two_batches(st.tuples(st.floats(0.0, math.pi), log_f0)))
+def test_half_polarization_radius_is_elementwise(batches):
+    _assert_elementwise(lambda x: half_polarization_radius(x[:, 0], 10.0 ** x[:, 1]), batches)
+
+
+#: powers as multiples of the one at the bisection's floor, occupancy 1e-16,
+#: up past the plateau (about 1e40 to 1e43 times it on the shipped records)
+power_over_floor = st.one_of(st.floats(0.0, 50.0).map(lambda x: 10.0 ** x), st.just(math.inf))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(list_materials()), two_batches(power_over_floor))
+@example("GaAs:As75", (np.array([1e45, math.inf]), np.array([1e50]), np.array([1, 0])))
+def test_invert_power_is_elementwise(name, batches):
+    mat = get_material(name)
+    floor = power_map(1e-16, mat).power
+    _assert_elementwise(lambda x: invert_power(floor * x, mat), batches)

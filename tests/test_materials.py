@@ -88,12 +88,13 @@ def test_dump_parse_round_trip(gaas):
 
 
 @pytest.mark.parametrize("field", ["name", "note"])
-@pytest.mark.parametrize("value", ["x#y", "a\nb", "a\u2028b", 5])
+@pytest.mark.parametrize("value", ["x#y", "a\nb", "a\u2028b", 5, "  padded ", "tab\t"])
 def test_string_fields_refuse_what_a_dump_cannot_hold(gaas, field, value):
-    # '#' starts a comment and a line break ends the line of the registry
-    # format, so such a value would not read back from dump_record
-    with pytest.raises(MaterialError, match=f"^{field} must be one line of text without '#', "
-                                            "got ") as err:
+    # '#' starts a comment, a line break ends the line and the blanks around
+    # a value are stripped in the registry format, so such a value would not
+    # read back from dump_record
+    with pytest.raises(MaterialError, match=f"^{field} must be one line of text without '#' "
+                                            "or outer blanks, got ") as err:
         gaas.with_overrides(**{field: value})
     assert "\n" not in str(err.value)
 

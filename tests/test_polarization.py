@@ -226,6 +226,15 @@ def test_diffusion_radius_no_solution(gaas):
     assert diffusion_radius(empty, 0.1, d, gaas, f0=math.inf) == (None, False)
 
 
+def test_diffusion_radius_takes_an_overflowing_f0_as_its_limit(gaas):
+    # below occupancy ~1e-321 the derived f0 = f00 / (occ (1 - occ)) is past
+    # the float range: the state's own f0 is then f0 = inf, no refusal
+    state = state_for_occupancy(1e-322, gaas)
+    d = calibrate_diffusion(state_for_occupancy(0.5, gaas), 0.1, gaas)
+    assert diffusion_radius(state, 0.1, d, gaas) == diffusion_radius(state, 0.1, d, gaas,
+                                                                      f0=math.inf)
+
+
 def test_diffusion_radius_past_the_float_range_raises(gaas):
     # with D and f0 at the smallest subnormal the quadrupolar tail crosses
     # D / rho^2 past the largest float; f0 = 1e-310 still crosses inside it
