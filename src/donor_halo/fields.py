@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
 from .materials import E_CHARGE, EPSILON_0, HBAR, MaterialRecord
-from .numerics import AZIMUTH, FINITE, NON_NEGATIVE, POLAR, POSITIVE, UNIT, require
+from .numerics import (AZIMUTH, FINITE, NON_NEGATIVE, NON_NEGATIVE_FINITE, POLAR, POSITIVE,
+                       UNIT, ensure, require)
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,8 @@ def coulomb_field(r: float, mat: MaterialRecord) -> float:
     """Unscreened donor field e / (4 pi eps eps0 r^2) in V/m (r in a0* units)."""
     r_m = require(r, "radius", POSITIVE) * mat.bohr_radius
     denominator = 4.0 * math.pi * mat.epsilon * EPSILON_0 * r_m * r_m
-    field = E_CHARGE / denominator if denominator else math.inf
-    if field == math.inf:
-        raise NumericalError(f"Coulomb field at r = {r:g} a0* is out of float range; "
-                             "check r, bohr_radius and epsilon")
-    return field
+    return ensure(E_CHARGE / denominator if denominator else math.inf,
+                  "Coulomb field in V/m (check r, bohr_radius and epsilon)", NON_NEGATIVE_FINITE)
 
 
 def donor_field(r: float, occupancy: float, mat: MaterialRecord) -> FieldPoint:
@@ -229,8 +226,7 @@ def efg_transform(e_field: np.ndarray, geometry: Geometry, r14: float) -> EfgCom
         xz=r14 * (c2t * sp * ex + c2t * cp * ey + 0.5 * s2t * s2p * ez),
         xy=r14 * (-st * cp * ex + st * sp * ey + ct * c2p * ez),
     )
-    if not all(map(math.isfinite, components)):
-        raise NumericalError("EFG components are out of float range; check e_field and r14")
+    ensure(components, "EFG component in V/m^2 (check e_field and r14)", FINITE)
     return components
 
 

@@ -23,10 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, MaterialError, NumericalError
+from .errors import BracketError, MaterialError
 from .materials import MaterialRecord
 from .numerics import (FINITE, MAX_STEPS, NON_NEGATIVE, NON_NEGATIVE_FINITE, POSITIVE,
-                       POSITIVE_FINITE, UNIT, UNIT_BELOW_ONE, UNIT_OPEN, any_true, require)
+                       POSITIVE_FINITE, UNIT, UNIT_BELOW_ONE, UNIT_OPEN, any_true, ensure,
+                       require)
 
 #: below this donor occupancy, bulk spin diffusion dominates the nuclear
 #: polarization and the local steady-state model loses validity
@@ -68,11 +69,9 @@ def state_for_occupancy(gamma_t: float, mat: MaterialRecord) -> KineticState:
     if require(gamma_t, "occupancy", UNIT_BELOW_ONE) == 0.0:
         return occupancy(0.0, mat)
     capture = (1.0 - gamma_t) * mat.sigma_capture * mat.velocity * mat.recombination_time
-    n_f = gamma_t / capture if capture else math.inf
-    if n_f == math.inf:
-        raise NumericalError(f"free-electron density for occupancy {gamma_t:g} is out of "
-                             "float range; check sigma_capture, velocity and "
-                             "recombination_time")
+    n_f = ensure(gamma_t / capture if capture else math.inf,
+                 "free-electron density in m^-3 (check sigma_capture, velocity and "
+                 "recombination_time)", NON_NEGATIVE_FINITE)
     return occupancy(n_f, mat)
 
 
@@ -401,10 +400,8 @@ def spectral_density(omega: float, amplitude: float, tau_c: float) -> float:
     require(amplitude, "amplitude", FINITE)
     require(tau_c, "correlation time", POSITIVE_FINITE)
     x = omega * tau_c     # x * x, unlike x ** 2, overflows to inf and J to 0
-    density = 2.0 * amplitude * tau_c / (1.0 + x * x)
-    if not abs(density) < math.inf:
-        raise NumericalError(f"spectral density at tau_c = {tau_c:g} s is out of float range")
-    return density
+    return ensure(2.0 * amplitude * tau_c / (1.0 + x * x),
+                  "spectral density (check amplitude and tau_c)", FINITE)
 
 
 # --- excitation power map ---------------------------------------------------

@@ -47,11 +47,9 @@ def compute_bq(r14: float, quadrupole_moment: float, spin: float, gamma: float) 
     for name, value in (("r14", r14), ("quadrupole_moment", quadrupole_moment), ("gamma", gamma)):
         require(value, name, POSITIVE_FINITE)
     denominator = 4.0 * HBAR * gamma * spin * (2.0 * spin - 1.0)
-    ratio = E_CHARGE * r14 * quadrupole_moment / denominator if denominator else math.inf
-    if not 0.0 < ratio < math.inf:
-        raise MaterialError(f"coupling ratio b_q = {ratio:g} is out of float range; "
-                            "check r14, quadrupole_moment, spin and gamma")
-    return ratio
+    return require(E_CHARGE * r14 * quadrupole_moment / denominator if denominator else math.inf,
+                   "coupling ratio b_q in T.m/V (check r14, quadrupole_moment, spin and gamma)",
+                   POSITIVE_FINITE)
 
 
 def _require_half_integer(spin: float) -> None:

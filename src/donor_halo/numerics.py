@@ -9,8 +9,10 @@ call.
 Every number from outside the program passes :func:`require`: each float
 input of the computing modules and each record field with one of the
 intervals below, each numeric CLI option with its own (NaN lies in none).
-Counts, shapes and spin levels of the library are checked where used, and
-outputs past the float range raise NumericalError.
+Counts, shapes and spin levels of the library are checked where used.
+Every result checked for range passes :func:`ensure`, the same test with
+the same message: outside its interval (past the float range, or NaN) it
+raises NumericalError where an input raises MaterialError.
 
 Every integral the package evaluates (the nuclear field, and the
 quadrature oracles) has a smooth integrand on a finite interval.
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MaterialError
+from .errors import MaterialError, NumericalError
 
 #: steps of phi^-1 and of the power bisection before they give up
 MAX_STEPS = 200
@@ -47,8 +49,8 @@ def any_true(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-#: the intervals of :func:`require`, as (lo, hi, words): both bounds are
-#: closed, and an open end is the next float inward
+#: the intervals of :func:`require` and :func:`ensure`, as (lo, hi, words):
+#: both bounds are closed, and an open end is the next float inward
 _MAX, _BELOW_ONE = sys.float_info.max, math.nextafter(1.0, 0.0)
 POSITIVE = (5e-324, math.inf, "positive")
 POSITIVE_FINITE = (5e-324, _MAX, "positive and finite")
@@ -62,10 +64,10 @@ POLAR = (0.0, math.pi, "in [0, pi]")
 AZIMUTH = (0.0, math.nextafter(2.0 * math.pi, 0.0), "in [0, 2*pi)")
 
 
-def require(value, what: str, interval: tuple[float, float, str]):
+def _guard(value, what: str, interval: tuple[float, float, str], error: type[Exception]):
     """value, a float or else as_operand(value), if all of it lies in interval.
 
-    Else MaterialError "{what} must be {words}, got {the first value outside}".
+    Else error "{what} must be {words}, got {the first value outside}".
     An int is compared exactly and returned as a float, or as +-inf past the
     float range; a refusal shows it as given, or there to 6 digits.
     """
@@ -80,13 +82,23 @@ def require(value, what: str, interval: tuple[float, float, str]):
             from decimal import Decimal
             value = f"{Decimal(value):.6g}"
     elif isinstance(value := as_operand(value), float):
-        return require(value, what, interval)
+        return _guard(value, what, interval, error)
     else:
         inside = (lo <= value) & (value <= hi)
         if inside.all():
             return value
         value = value[~inside][0]
-    raise MaterialError(f"{what} must be {words}, got {value}")
+    raise error(f"{what} must be {words}, got {value}")
+
+
+def require(value, what: str, interval: tuple[float, float, str]):
+    """An input checked by :func:`_guard`: a refusal is a MaterialError (exit 2)."""
+    return _guard(value, what, interval, MaterialError)
+
+
+def ensure(value, what: str, interval: tuple[float, float, str]):
+    """A result checked by :func:`_guard`: a refusal is a NumericalError (exit 3)."""
+    return _guard(value, what, interval, NumericalError)
 
 
 #: the positive half of the 24-point Gauss-Legendre rule on [-1, 1], nodes

@@ -251,7 +251,10 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     rate_bohr = _hyperfine_rate(1.0, state, b_field, mat)
     if not rate_bohr > 0.0:
         return DiffusionRadius(value=None, has_solution=False)
-    log_0 = math.log(rate_bohr * mat.bohr_radius ** 2) - math.log(diffusion_constant)
+    scale = rate_bohr * mat.bohr_radius ** 2     # 0 where a subnormal rate underflows
+    log_scale = (math.log(scale) if scale > 0.0
+                 else math.log(rate_bohr) + 2.0 * math.log(mat.bohr_radius))
+    log_0 = log_scale - math.log(diffusion_constant)
 
     def balance(u: float) -> tuple[float, float]:
         """L and dL/du at r = e^u."""

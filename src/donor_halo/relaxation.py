@@ -25,7 +25,7 @@ from .fields import (Geometry, _log_screening, coulomb_field, donor_field,
                      hyperfine_field_instant)
 from .kinetics import KineticState, spectral_density
 from .materials import MaterialRecord
-from .numerics import MAX_STEPS, NON_NEGATIVE_FINITE, POSITIVE_FINITE, require
+from .numerics import MAX_STEPS, NON_NEGATIVE_FINITE, POSITIVE_FINITE, ensure, require
 from .spin_algebra import angular_factor, transition_moment
 
 
@@ -52,8 +52,7 @@ def rates(r: float, geometry: Geometry, state: KineticState, b_field: float,
     point = donor_field(r, occ, mat)
     w1 = mat.gamma * b_field        # single-quantum nuclear frequency; double is 2 w1
     wh = mat.gamma_e * b_field      # electron-nucleus flip-flop frequency
-    if not max(2.0 * w1, wh) < math.inf:
-        raise NumericalError(f"Larmor frequencies at B = {b_field:g} T are out of float range")
+    ensure((2.0 * w1, wh), "Larmor frequency in rad/s (check b_field)", NON_NEGATIVE_FINITE)
     # modulation amplitude: the full ionized-donor field times s(r)
     coupling = mat.gamma * mat.b_q * point.e_off * point.screening
     k1 = angular_factor(1, geometry.theta, mat.spin)
@@ -219,10 +218,7 @@ def intrinsic_ratio(mat: MaterialRecord) -> float:
     b_e = mat.require_hyperfine_field()
     modulation = mat.b_q * coulomb_field(1.0, mat)
     field_ratio = b_e / modulation if modulation else math.inf
-    f00 = 2.5 * (mat.sigma_capture / mat.sigma_exchange) \
-        / transition_moment(mat.spin) * field_ratio * field_ratio
-    if not 0.0 < f00 < math.inf:
-        raise NumericalError(f"competition amplitude f00 = {f00:g} is out of float range; "
-                             "check record fields")
-    return f00
+    return ensure(2.5 * (mat.sigma_capture / mat.sigma_exchange)
+                  / transition_moment(mat.spin) * field_ratio * field_ratio,
+                  "competition amplitude f00 (check record fields)", POSITIVE_FINITE)
 

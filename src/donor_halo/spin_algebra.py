@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaterialError, NonPerturbativeRegimeError, NumericalError
+from .errors import MaterialError, NonPerturbativeRegimeError
 from .fields import Geometry, coulomb_field, donor_field, efg_transform, screening_fraction
 from .materials import E_CHARGE, HBAR, MaterialRecord, _require_half_integer
-from .numerics import FINITE, NON_NEGATIVE_FINITE, POSITIVE_FINITE, UNIT, require
+from .numerics import FINITE, NON_NEGATIVE_FINITE, POSITIVE_FINITE, UNIT, ensure, require
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -61,11 +61,16 @@ def build_spin_operators(spin: float) -> SpinMatrices:
 
     Built once per spin (for the last 16 spins asked for) and shared
     between callers, which is safe because the matrices are read-only.
+    A spin whose matrices numpy cannot allocate raises MaterialError.
     """
     dim = spin_multiplicity(spin)
-    m = spin - np.arange(dim)
-    iz = np.diag(m).astype(complex)
-    iplus = np.zeros((dim, dim), dtype=complex)
+    try:
+        m = spin - np.arange(dim)
+        iz = np.diag(m).astype(complex)
+        iplus = np.zeros((dim, dim), dtype=complex)
+    except (ValueError, MemoryError):   # numpy's refusals of a size
+        raise MaterialError(f"spin {spin:g} needs {dim:.6g}-dimensional matrices, more than "
+                            "can be allocated") from None
     # <m+1| I+ |m> = sqrt(I(I+1) - m(m+1)); rows are ordered by descending m
     for col in range(1, dim):
         mm = m[col]
@@ -111,8 +116,10 @@ def angular_factor(k: int, theta: float, spin: float) -> float:
     require(theta, "theta", FINITE)
     moment = transition_moment(spin)
     if k == 1:
-        return 0.4 * moment * math.sin(theta) ** 2
-    return 1.6 * moment * math.cos(theta) ** 2
+        factor = 0.4 * moment * math.sin(theta) ** 2
+    else:
+        factor = 1.6 * moment * math.cos(theta) ** 2
+    return ensure(factor, "angular factor (check spin)", NON_NEGATIVE_FINITE)
 
 
 def trace_iz2(spin: float) -> float:
@@ -179,7 +186,8 @@ def bq_local_field(r: float, occupancy: float, geometry: Geometry,
     require(occupancy, "occupancy", UNIT)
     moment = transition_moment(mat.spin)
     amplitude = mat.b_q * coulomb_field(r, mat) * (1.0 - screening_fraction(r) * occupancy)
-    return math.sqrt(0.8 * moment) * abs(amplitude)
+    return ensure(math.sqrt(0.8 * moment) * abs(amplitude),
+                  "quadrupolar local field in T (check r, spin and b_q)", NON_NEGATIVE_FINITE)
 
 
 _PERTURBATIVE_MARGIN = 10.0     # gamma hbar B must exceed this times ||H_Q||_2
@@ -197,7 +205,7 @@ def _perturbative_terms(m: float, b_field: float, r: float, geometry: Geometry,
     zeeman_quantum = mat.gamma * HBAR * b_field
     h_q = build_hq_axial(f0q, geometry.theta, geometry.phi, spin)
     h_norm = float(np.linalg.norm(h_q, 2))
-    if zeeman_quantum < _PERTURBATIVE_MARGIN * h_norm:
+    if zeeman_quantum < _PERTURBATIVE_MARGIN * h_norm or zeeman_quantum == 0.0:
         raise NonPerturbativeRegimeError(
             f"non-perturbative regime: gamma*hbar*B = {zeeman_quantum:.3e} J is not "
             f"large against the quadrupolar scale {h_norm:.3e} J"
@@ -240,8 +248,6 @@ def level_shift(m: float, b_field: float, r: float, geometry: Geometry,
 
 def redfield_rate_analytic(spin: float, theta: float, j1: float, j2: float) -> float:
     """Decay rate k1 J1 + k2 J2; the closed form of ``oracles.redfield_rate_superoperator``."""
-    rate = (angular_factor(1, theta, spin) * require(j1, "j1", NON_NEGATIVE_FINITE)
-            + angular_factor(2, theta, spin) * require(j2, "j2", NON_NEGATIVE_FINITE))
-    if rate == math.inf:
-        raise NumericalError("Redfield rate is out of float range; check j1 and j2")
-    return rate
+    return ensure(angular_factor(1, theta, spin) * require(j1, "j1", NON_NEGATIVE_FINITE)
+                  + angular_factor(2, theta, spin) * require(j2, "j2", NON_NEGATIVE_FINITE),
+                  "Redfield rate (check j1 and j2)", NON_NEGATIVE_FINITE)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import MaterialError, NumericalError
+from .errors import MaterialError
 from .fields import Geometry, coulomb_field
 from .kinetics import GAMMA_MIN_DIFFUSION, KineticState
 from .materials import HBAR, MaterialRecord
-from .numerics import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, require
+from .numerics import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, ensure, require
 from .spin_algebra import bq_local_field, second_order_shift
 
 
@@ -33,14 +33,12 @@ def local_fields(b_field: float, r: float, occupancy: float, geometry: Geometry,
     """High-field check against the combined local fields (NumericalError out of float range)."""
     require(b_field, "b_field", POSITIVE_FINITE)
     require(margin, "margin", POSITIVE_FINITE)
-    try:
-        b_q = bq_local_field(r, occupancy, geometry, mat)
+    b_q = bq_local_field(r, occupancy, geometry, mat)
+    try:                    # past the float range a float ** raises where * gives inf
         squared = mat.local_field ** 2 + b_q * b_q
-    except (ZeroDivisionError, OverflowError, NumericalError):
+    except OverflowError:
         squared = math.inf
-    if not squared < math.inf:
-        raise NumericalError(f"local fields at r = {r:g} a0* are out of float range; "
-                             "check r and record fields")
+    ensure(squared, "squared local fields in T^2 (check r and record fields)", NON_NEGATIVE_FINITE)
     ok = b_field * b_field >= margin * squared
     return LocalFields(b_l=mat.local_field, b_q=b_q, high_field_ok=ok)
 
@@ -51,11 +49,15 @@ def _worst_case_shift(r_m: float, b_field: float, mat: MaterialRecord) -> float:
     Electric field along the quantization axis, ionized donor
     (occupancy -> 0), top level m = I: :func:`second_order_shift` at
     theta = 0 with f0q = hbar gamma b_q E(r) from the bare Coulomb field,
-    which is -2 I (2I - 1) hbar gamma [b_q E(r)]^2 / B.
+    which is -2 I (2I - 1) hbar gamma [b_q E(r)]^2 / B; -inf where r^2 or
+    gamma hbar B underflows to 0.
     """
-    e_field = coulomb_field(1.0, mat) * mat.bohr_radius ** 2 / (r_m * r_m)
+    r_squared, zeeman_quantum = r_m * r_m, mat.gamma * HBAR * b_field
+    if not (r_squared and zeeman_quantum):
+        return -math.inf
+    e_field = coulomb_field(1.0, mat) * mat.bohr_radius ** 2 / r_squared
     f0q = HBAR * mat.gamma * mat.b_q * e_field
-    return second_order_shift(mat.spin, mat.spin, 0.0, f0q, mat.gamma * HBAR * b_field)
+    return second_order_shift(mat.spin, mat.spin, 0.0, f0q, zeeman_quantum)
 
 
 @dataclass(frozen=True)
@@ -79,16 +81,13 @@ def spin_temperature_eta(mat: MaterialRecord) -> float:
         raise MaterialError("spin-temperature limit needs a quadrupolar nucleus")
     target = HBAR * mat.gamma * mat.spin * mat.local_field
     r_m = mat.bohr_radius
-    try:
+    try:                    # past the float range a float ** raises where * gives inf
         c = abs(_worst_case_shift(r_m, 1.0, mat)) * r_m ** 4
-        ratio = 4.0 * c * mat.neighbor_spacing / target if target > 0.0 else math.inf
-        eta = ratio ** 0.2
-    except (ZeroDivisionError, OverflowError):
-        eta = math.inf
-    if not 0.0 < eta < math.inf:
-        raise NumericalError("spin-temperature radius is out of float range; "
-                             "check record fields")
-    return eta
+    except OverflowError:
+        c = math.inf
+    ratio = 4.0 * c * mat.neighbor_spacing / target if target > 0.0 else math.inf
+    return ensure(ratio ** 0.2, "spin-temperature radius eta in m*T^(1/5) (check record fields)",
+                  POSITIVE_FINITE)
 
 
 def spin_temperature_limit(b_field: float, mat: MaterialRecord) -> SpinTemperatureLimit:
@@ -101,14 +100,12 @@ def spin_temperature_limit(b_field: float, mat: MaterialRecord) -> SpinTemperatu
 def field_threshold(r_m: float, eta: float) -> float:
     """Field above which the spin-temperature hypothesis holds at radius r: (eta/r)^5."""
     require(r_m, "radius", POSITIVE_FINITE)
-    try:
+    try:                    # past the float range a float ** raises where * gives inf
         threshold = (require(eta, "eta", POSITIVE_FINITE) / r_m) ** 5
     except OverflowError:
         threshold = math.inf
-    if threshold == math.inf:
-        raise NumericalError(f"spin-temperature field threshold at r = {r_m:g} m is "
-                             "out of float range")
-    return threshold
+    return ensure(threshold, "spin-temperature field threshold in T (check r_m and eta)",
+                  NON_NEGATIVE_FINITE)
 
 
 @dataclass(frozen=True)

@@ -381,9 +381,12 @@ def test_grid_ends_must_be_positive(command, key, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["--r", "1e-200"], ["--r", "1e-100"],
                                   ["--set", "local_field=1e300"]])
 def test_validity_local_fields_out_of_float_range_exits_3(argv, capsys):
+    # at r = 1e-200 a0* the Coulomb field itself overflows, elsewhere its square
+    what = "Coulomb field in V/m" if argv[1] == "1e-200" else "squared local fields in T^2"
     code, err = run_cli_err("validity", *argv, capsys=capsys)
     assert code == 3
-    assert err.startswith("donor-halo: numerical failure: local fields at r = ")
+    assert err.startswith(f"donor-halo: numerical failure: {what} (check r")
+    assert err.endswith(" must be non-negative and finite, got inf\n")
     assert len(err.splitlines()) == 1
 
 

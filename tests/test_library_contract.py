@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 import donor_halo
-from donor_halo import (DonorHaloError, Geometry, MaterialRecord, angular_factor,
-                        bq_local_field, build_hq_general, build_report,
+from donor_halo import (DonorHaloError, Geometry, MaterialRecord, NumericalError,
+                        angular_factor, bq_local_field, build_hq_general, build_report,
                         build_spin_operators, calibrate_diffusion, compute_bq,
                         coulomb_field, diffusion_radius, donor_field,
                         efg_transform, get_material, half_polarization_radius,
@@ -41,10 +41,11 @@ MAT = get_material("GaAs:As75")
 STATE = state_for_occupancy(0.5, MAT)
 GEO = Geometry(theta=0.4, phi=0.3, theta_b=0.2, phi_b=0.1)
 
-#: the draws: NaN, both infinities, both zeros, -1, the smallest and a
-#: huge positive float, and an int past the float range (drawn as a scalar
-#: only: in an array numpy holds it as an object, not as a float)
-DRAWS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308, 10**400]
+#: the draws: NaN, both infinities, both zeros, -1, the smallest float,
+#: 1e-155 and 1e155 (whose squares under- and overflow), a huge positive
+#: float, and an int past the float range (drawn as a scalar only: in an
+#: array numpy holds it as an object, not as a float, so it stays last)
+DRAWS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-155, 1e155, 1e308, 10**400]
 
 #: function -> (normal arguments, also drawn as arrays of [normal, draw]);
 #: every float argument, and the last element of every float array, is drawn
@@ -194,6 +195,15 @@ def test_every_float_input_ends_finite_or_refused(name):
             continue
         broken += [(label, field, value) for field, value in _breaches(name, result)]
     assert not broken, broken
+
+
+@pytest.mark.parametrize("call", [lambda: angular_factor(1, 0.0, 1e155),
+                                  lambda: redfield_rate_analytic(1e155, 0.0, 1e-9, 1e-9)],
+                         ids=["angular_factor", "redfield_rate_analytic"])
+def test_a_spin_factor_past_the_float_range_is_refused_not_nan(call):
+    # 4I(I+1) is inf at I = 1e155 and sin(0) = 0: the product inf * 0 is NaN
+    with pytest.raises(NumericalError, match="^angular factor .* must be non-negative and finite"):
+        call()
 
 
 def test_every_public_callable_is_in_the_table():

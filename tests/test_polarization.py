@@ -235,6 +235,20 @@ def test_diffusion_radius_takes_an_overflowing_f0_as_its_limit(gaas):
                                                                       f0=math.inf)
 
 
+def test_diffusion_radius_with_a_subnormal_hyperfine_rate(gaas):
+    # at 1e155 T the hyperfine rate at a0* is subnormal and rate * a0*^2
+    # underflows to 0; far out, where s = 1 and the hyperfine channel is
+    # 0, the quadrupolar balance 2 rate a0*^2 / (f0 D r^2) = 1 is closed form
+    state = state_for_occupancy(0.5, gaas)
+    rate = rates(1.0, Geometry(), state, 1e155, gaas).inv_t1h
+    assert 0.0 < rate < 2.2e-308 and rate * gaas.bohr_radius ** 2 == 0.0
+    d, f0 = 5e-324, 1e-10
+    root = diffusion_radius(state, 1e155, d, gaas, f0=f0)
+    assert root.has_solution
+    assert root.value == pytest.approx(math.sqrt(2.0 / f0 * rate * (gaas.bohr_radius ** 2 / d)),
+                                       rel=1e-12)
+
+
 def test_diffusion_radius_past_the_float_range_raises(gaas):
     # with D and f0 at the smallest subnormal the quadrupolar tail crosses
     # D / rho^2 past the largest float; f0 = 1e-310 still crosses inside it

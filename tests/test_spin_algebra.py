@@ -57,6 +57,12 @@ def test_invalid_spin_rejected():
         build_spin_operators(-0.5)
 
 
+def test_spin_whose_matrices_numpy_refuses_is_a_material_error():
+    # numpy refuses a 2e155-element arange at once, before any allocation
+    with pytest.raises(MaterialError, match=r"^spin 1e\+155 needs 2e\+155-dimensional matrices"):
+        build_spin_operators(1e155)
+
+
 @pytest.mark.parametrize("spin", SPINS)
 def test_iz_moment_traces(spin):
     ops = build_spin_operators(spin)
@@ -207,6 +213,10 @@ def test_level_shift_guards(gaas):
     for shift in (level_shift, level_shift_diagonalization):
         with pytest.raises(NonPerturbativeRegimeError):
             shift(1.5, 1e-5, 0.25, Geometry(), 0.0, gaas)
+        # gamma*hbar*B underflows to 0 and far out H_Q is 0: no Zeeman
+        # splitting is no perturbative regime, not a division by zero
+        with pytest.raises(NonPerturbativeRegimeError):
+            shift(1.5, 5e-324, 1e308, Geometry(), 0.2, gaas)
         with pytest.raises(MaterialError):
             shift(2.0, 1.0, 0.5, Geometry(), 0.0, gaas)
         with pytest.raises(MaterialError):
