@@ -28,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import fields, kinetics, oracles, polarization, relaxation, spin_algebra, validity
+from . import fields, kinetics, oracles, polarization, relaxation, spin_algebra, telegraph, validity
 from .materials import compute_bq, get_material, load_registry
 
 
@@ -298,8 +298,8 @@ def exact_oracle_suite() -> list[CheckResult]:
 def telegraph_mc_suite(seed: int = 20260810, n_dwell: int = 1_000_000) -> list[CheckResult]:
     def run_mc() -> tuple[bool, str]:
         occ, tau_occ, tau_empty = 0.5, 1.0, 1.0
-        est = kinetics.simulate_telegraph(_SCREEN_BOHR, tau_occ, tau_empty,
-                                          n_dwell=n_dwell, seed=seed)
+        est = telegraph.simulate_telegraph(_SCREEN_BOHR, tau_occ, tau_empty,
+                                           n_dwell=n_dwell, seed=seed)
         exact_rate = 1.0 / tau_occ + 1.0 / tau_empty
         exact_amp = kinetics.telegraph_amplitude(occ, _SCREEN_BOHR)
         rate_err = abs(est.decay_rate - exact_rate) / exact_rate
@@ -317,8 +317,8 @@ def telegraph_mc_suite(seed: int = 20260810, n_dwell: int = 1_000_000) -> list[C
                     f"all lags within 3 sigma: {lags_ok}")
 
     def run_mc_asym() -> tuple[bool, str]:
-        est = kinetics.simulate_telegraph(_SCREEN_BOHR, 1.0, 3.0,
-                                          n_dwell=max(n_dwell // 5, 10_000), seed=seed + 1)
+        est = telegraph.simulate_telegraph(_SCREEN_BOHR, 1.0, 3.0,
+                                           n_dwell=max(n_dwell // 5, 10_000), seed=seed + 1)
         exact_rate = 1.0 + 1.0 / 3.0
         exact_amp = kinetics.telegraph_amplitude(0.25, _SCREEN_BOHR)
         rate_err = abs(est.decay_rate - exact_rate) / exact_rate
@@ -558,8 +558,8 @@ def property_suite(seed: int = 20260810) -> list[CheckResult]:
         errs = {}
         for n in (16_000, 256_000):
             # the amplitude is the lag-0 estimate, the same at any n_lags
-            runs = [kinetics.simulate_telegraph(_SCREEN_BOHR, 1.0, 3.0, n_dwell=n,
-                                                seed=seed + k, n_lags=4).acf[0]
+            runs = [telegraph.simulate_telegraph(_SCREEN_BOHR, 1.0, 3.0, n_dwell=n,
+                                                 seed=seed + k, n_lags=4).acf[0]
                     for k in range(8)]
             errs[n] = float(np.mean([abs(a - exact) for a in runs]))
         ratio = errs[256_000] / errs[16_000]

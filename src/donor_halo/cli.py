@@ -33,6 +33,7 @@ profile, radius and power.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -300,20 +301,17 @@ def _cmd_verify(args: argparse.Namespace, overrides: dict[str, object]) -> tuple
 
     results = checks.run_suites(args.suite, seed=args.seed, n_dwell=args.dwell)
     lines = []
-    by_suite: dict[str, list[checks.CheckResult]] = {}
-    for res in results:
-        by_suite.setdefault(res.suite, []).append(res)
-    failed = 0
-    for suite, items in by_suite.items():
+    for suite, group in itertools.groupby(results, key=lambda r: r.suite):
+        items = list(group)
         for res in items:
             mark = "PASS" if res.ok else "FAIL"
             note = ""
-            if not res.ok and (res.suite, res.name) in checks.EXPECTED_FAILURES:
+            if not res.ok and (suite, res.name) in checks.EXPECTED_FAILURES:
                 note = " [documented discrepancy]"
             lines.append(f"{mark} {suite}/{res.name}: {res.detail}{note}")
-            failed += 0 if res.ok else 1
         ok_count = sum(1 for r in items if r.ok)
         lines.append(f"-- suite {suite}: {ok_count}/{len(items)} passed")
+    failed = sum(1 for r in results if not r.ok)
     lines.append(f"== total: {len(results) - failed}/{len(results)} passed")
     return "\n".join(lines) + "\n", EXIT_OK if failed == 0 else EXIT_VERIFY
 

@@ -100,21 +100,16 @@ def _cdf_series(x, xp):
     return x * x * x * xp.exp(-x) * _series_sum(x)
 
 
-def log_screening_fraction(r_bohr):
-    """log s(r), finite for every positive float r (a0* units).
-
-    With x = 2r: below x = 1 it is 3 log x - x + log sum x^k/(k+3)!, the
-    log of the series :func:`screening_fraction` sums, so it stays finite
-    where s itself underflows.  From x = 1 on it is
-    log1p(-(1 + x + x^2/2) e^-x), with x clipped to [1, 800] so that x^2
-    stays finite (Maechler, "Accurately computing log(1 - exp(-|a|))",
-    2012).  Takes a float or an array.
-    """
-    return _log_screening(require(r_bohr, "radius", POSITIVE))
-
-
 def _log_screening(r):
-    """log s at r > 0, float or array, with no guard."""
+    """log s(r) at r > 0 (a0* units), float or array, with no guard.
+
+    Finite for every positive float r.  With x = 2r: below x = 1 it is
+    3 log x - x + log sum x^k/(k+3)!, the log of the series
+    :func:`screening_fraction` sums, so it stays finite where s itself
+    underflows.  From x = 1 on it is log1p(-(1 + x + x^2/2) e^-x), with x
+    clipped to [1, 800] so that x^2 stays finite (Maechler, "Accurately
+    computing log(1 - exp(-|a|))", 2012).
+    """
     if isinstance(r, float):
         x = 2.0 * r
         if x < 1.0:

@@ -251,8 +251,11 @@ def diffusion_radius(state: KineticState, b_field: float, diffusion_constant: fl
     rate_bohr = _hyperfine_rate(1.0, state, b_field, mat)
     if not rate_bohr > 0.0:
         return DiffusionRadius(value=None, has_solution=False)
-    scale = rate_bohr * mat.bohr_radius ** 2     # 0 where a subnormal rate underflows
-    log_scale = (math.log(scale) if scale > 0.0
+    try:                    # past the float range a float ** raises where * gives inf
+        scale = rate_bohr * mat.bohr_radius ** 2     # 0 where a subnormal rate underflows
+    except OverflowError:
+        scale = math.inf
+    log_scale = (math.log(scale) if 0.0 < scale < math.inf
                  else math.log(rate_bohr) + 2.0 * math.log(mat.bohr_radius))
     log_0 = log_scale - math.log(diffusion_constant)
 

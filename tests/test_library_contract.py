@@ -32,7 +32,7 @@ from donor_halo import (DonorHaloError, Geometry, MaterialRecord, NumericalError
                         screening_fraction, simulate_telegraph, spectral_density,
                         spin_temperature_limit, state_for_occupancy,
                         telegraph_correlation)
-from donor_halo.fields import log_screening_fraction, screening_density
+from donor_halo.fields import screening_density
 from donor_halo.kinetics import power_scale
 from donor_halo.relaxation import log_radial_profile, radial_profile_inverse
 from donor_halo.validity import field_threshold, spin_temperature_eta
@@ -56,7 +56,6 @@ TABLE = {
                                     spin=1.5, gamma=MAT.gamma), False),
     "build_spin_operators": (build_spin_operators, dict(spin=1.5), False),
     "screening_fraction": (screening_fraction, dict(r_bohr=0.7), True),
-    "log_screening_fraction": (log_screening_fraction, dict(r_bohr=0.7), True),
     "screening_density": (screening_density, dict(r_bohr=0.7), True),
     "coulomb_field": (coulomb_field, dict(r=0.7, mat=MAT), False),
     "donor_field": (donor_field, dict(r=0.7, occupancy=0.5, mat=MAT), False),

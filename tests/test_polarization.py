@@ -249,6 +249,19 @@ def test_diffusion_radius_with_a_subnormal_hyperfine_rate(gaas):
                                        rel=1e-12)
 
 
+def test_diffusion_radius_with_a_bohr_radius_whose_square_overflows(gaas):
+    # past a0* ~ 1.34e154 the float a0*^2 overflows, and the balance takes
+    # log rate + 2 log a0* instead; the radius keeps the a0* scaling it has
+    # where a0*^2 is finite
+    state = state_for_occupancy(0.5, gaas)
+    scaled = []
+    for a0 in (1e150, 1e160, 1e300):
+        root = diffusion_radius(state, 0.1, 1.0, gaas.with_overrides(bohr_radius=a0), f0=0.02)
+        assert root.has_solution and math.isfinite(root.value)
+        scaled.append(root.value / a0)
+    assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-12)
+
+
 def test_diffusion_radius_past_the_float_range_raises(gaas):
     # with D and f0 at the smallest subnormal the quadrupolar tail crosses
     # D / rho^2 past the largest float; f0 = 1e-310 still crosses inside it

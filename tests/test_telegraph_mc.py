@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from donor_halo import MaterialError, TelegraphEstimate, simulate_telegraph
-from donor_halo.kinetics import (_CHUNK, _first_sample_index, _occupied_words, _xor_flips,
-                                telegraph_amplitude, telegraph_values)
+from donor_halo.kinetics import telegraph_amplitude, telegraph_values
+from donor_halo.telegraph import _CHUNK, _first_sample_index, _occupied_words, _xor_flips
 
 SCREEN = 0.3233235838169365
 
