@@ -17,6 +17,8 @@ dependency is numpy; scipy serves the tests as the referee of the
 oracles.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (BracketError, DonorHaloError, MaterialError,
                      MissingParameterError, NonPerturbativeRegimeError,
                      NumericalError)
@@ -42,4 +44,6 @@ from .validity import (RegimeReport, build_report, local_fields, motional_regime
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the public names, without the submodules that the imports above bind
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

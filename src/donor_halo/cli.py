@@ -184,13 +184,6 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _metadata(command: str, mat: MaterialRecord, overrides: dict[str, object],
-              options: dict[str, object]) -> list[str]:
-    lines = [f"# donor-halo {__version__}", f"# command = {command}", f"# material = {mat.name}"]
-    lines += [f"# override {key} = {overrides[key]}" for key in sorted(overrides)]
-    return lines + [f"# {key} = {options[key]}" for key in sorted(options)]
-
-
 def _csv(header: list[str], columns: dict[str, Sequence[object]]) -> str:
     out = [*header, ",".join(columns)]
     for row in zip(*columns.values()):
@@ -213,46 +206,57 @@ def _calibrated_diffusion(mat: MaterialRecord) -> str:
     return f"{diffusion:.9g}"
 
 
+def _sweep_output(args: argparse.Namespace, mat: MaterialRecord,
+                  overrides: dict[str, object], columns: dict[str, np.ndarray],
+                  options: dict[str, object], derived: dict[str, float],
+                  series: list[tuple[str, str, str]], **labels) -> tuple[str, int]:
+    """The tail of profile, radius and power: refuse, then write SVG or CSV.
+
+    The columns, then the derived values, then calibrated_D must be
+    finite.  The CSV header prints ``options`` as given and ``derived``
+    to 9 digits; the SVG plots each (x column, y column, label) of
+    ``series`` under ``labels``.
+    """
+    _require_finite(**columns, **derived)
+    options = {**options, **{key: f"{value:.9g}" for key, value in derived.items()},
+               "calibrated_D": _calibrated_diffusion(mat)}
+    if args.format == "svg":
+        return svgplot.line_chart([(columns[x], columns[y], label) for x, y, label in series],
+                                  **labels), EXIT_OK
+    header = [f"# donor-halo {__version__}", f"# command = {args.command}",
+              f"# material = {mat.name}"]
+    header += [f"# override {key} = {overrides[key]}" for key in sorted(overrides)]
+    header += [f"# {key} = {options[key]}" for key in sorted(options)]
+    return _csv(header, columns), EXIT_OK
+
+
 def _cmd_profile(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
     """polarization profile curves"""
     mat = _material(args, overrides)
     grid = np.linspace(args.r_min, args.r_max, args.points)
     prof = polarization.profile(args.f0, grid)
-    columns = {"r": grid, "p_parallel": prof.p_parallel,
-               "p_perpendicular": prof.p_perpendicular, "p_avg": prof.p_avg}
-    _require_finite(**columns, rho_q=prof.rho_q, s_rho_q=prof.s_at_rho_q)
-    options = {
-        "f0": args.f0, "r_min": args.r_min, "r_max": args.r_max, "points": args.points,
-        "rho_q": f"{prof.rho_q:.9g}", "s_rho_q": f"{prof.s_at_rho_q:.9g}",
-        "calibrated_D": _calibrated_diffusion(mat),
-    }
-    if args.format == "svg":
-        return svgplot.line_chart(
-            [(grid, prof.p_parallel, "parallel"),
-             (grid, prof.p_perpendicular, "perpendicular"),
-             (grid, prof.p_avg, "sphere average")],
-            xlabel="distance (a0* units)", ylabel="normalized polarization",
-            title=f"{mat.name}: polarization profile, f0={args.f0:g}"), EXIT_OK
-    return _csv(_metadata("profile", mat, overrides, options), columns), EXIT_OK
+    return _sweep_output(
+        args, mat, overrides,
+        {"r": grid, "p_parallel": prof.p_parallel,
+         "p_perpendicular": prof.p_perpendicular, "p_avg": prof.p_avg},
+        {"f0": args.f0, "r_min": args.r_min, "r_max": args.r_max, "points": args.points},
+        derived={"rho_q": prof.rho_q, "s_rho_q": prof.s_at_rho_q},
+        series=[("r", "p_parallel", "parallel"), ("r", "p_perpendicular", "perpendicular"),
+                ("r", "p_avg", "sphere average")],
+        xlabel="distance (a0* units)", ylabel="normalized polarization",
+        title=f"{mat.name}: polarization profile, f0={args.f0:g}")
 
 
 def _cmd_radius(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
     """quadrupolar radius sweep"""
     mat = _material(args, overrides)
     table = polarization.radius_sweep(np.geomspace(args.f0_min, args.f0_max, args.points))
-    columns = dict(zip(("f0", "rho_q", "s_rho_q"), table.T))
-    _require_finite(**columns)
-    options = {
-        "f0_min": args.f0_min, "f0_max": args.f0_max, "points": args.points,
-        "calibrated_D": _calibrated_diffusion(mat),
-    }
-    if args.format == "svg":
-        return svgplot.line_chart(
-            [(table[:, 0], table[:, 1], "rho_q (a0*)"),
-             (table[:, 0], table[:, 2], "s(rho_q)")],
-            xlabel="competition amplitude f0", ylabel="radius / screening",
-            title=f"{mat.name}: quadrupolar radius", logx=True, logy=True), EXIT_OK
-    return _csv(_metadata("radius", mat, overrides, options), columns), EXIT_OK
+    return _sweep_output(
+        args, mat, overrides, dict(zip(("f0", "rho_q", "s_rho_q"), table.T)),
+        {"f0_min": args.f0_min, "f0_max": args.f0_max, "points": args.points}, derived={},
+        series=[("f0", "rho_q", "rho_q (a0*)"), ("f0", "s_rho_q", "s(rho_q)")],
+        xlabel="competition amplitude f0", ylabel="radius / screening",
+        title=f"{mat.name}: quadrupolar radius", logx=True, logy=True)
 
 
 def _cmd_power(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:
@@ -261,27 +265,18 @@ def _cmd_power(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[
     quad_on = not args.no_quadrupolar
     sweep = polarization.power_sweep(np.geomspace(args.p_min, args.p_max, args.points), mat,
                                      quadrupolar=quad_on)
-    p0 = kinetics.power_scale(mat)
-    columns = {name: getattr(sweep, name) for name in (
-        "p_over_p0", "occupancy", "nf_over_na", "s_rho_q", "alpha_n", "diffusion_flag")}
-    _require_finite(**columns, f00=sweep.f00, p0_W_per_m2=p0)
-    options = {
-        "p_min": args.p_min, "p_max": args.p_max, "points": args.points,
-        "quadrupolar": quad_on,
-        "p0_W_per_m2": f"{p0:.9g}",
-        "f00": f"{sweep.f00:.9g}",
-        "rho_d_cap": f"{sweep.rho_d:.9g}",
-        "calibrated_D": _calibrated_diffusion(mat),
-    }
-    if args.format == "svg":
-        return svgplot.line_chart(
-            [(sweep.p_over_p0, sweep.occupancy, "occupancy"),
-             (sweep.p_over_p0, sweep.nf_over_na, "n_f / N_A"),
-             (sweep.p_over_p0, sweep.s_rho_q, "s(rho_q)"),
-             (sweep.p_over_p0, sweep.alpha_n, "alpha_n")],
-            xlabel="excitation power (P0 units)", ylabel="dimensionless",
-            title=f"{mat.name}: power dependence", logx=True, logy=True), EXIT_OK
-    return _csv(_metadata("power", mat, overrides, options), columns), EXIT_OK
+    return _sweep_output(
+        args, mat, overrides,
+        {name: getattr(sweep, name) for name in (
+            "p_over_p0", "occupancy", "nf_over_na", "s_rho_q", "alpha_n", "diffusion_flag")},
+        {"p_min": args.p_min, "p_max": args.p_max, "points": args.points,
+         "quadrupolar": quad_on},
+        derived={"f00": sweep.f00, "p0_W_per_m2": kinetics.power_scale(mat),
+                 "rho_d_cap": sweep.rho_d},
+        series=[("p_over_p0", "occupancy", "occupancy"), ("p_over_p0", "nf_over_na", "n_f / N_A"),
+                ("p_over_p0", "s_rho_q", "s(rho_q)"), ("p_over_p0", "alpha_n", "alpha_n")],
+        xlabel="excitation power (P0 units)", ylabel="dimensionless",
+        title=f"{mat.name}: power dependence", logx=True, logy=True)
 
 
 def _cmd_validity(args: argparse.Namespace, overrides: dict[str, object]) -> tuple[str, int]:

@@ -6,8 +6,9 @@ the verification suites and the tests.  The quadratures use the fixed
 composite Gauss-Legendre rule of :mod:`donor_halo.numerics` and the
 matrix routes use numpy alone, so the verification suites load no scipy;
 the tests hold each route against ``scipy.integrate.quad`` or
-``scipy.linalg.expm``.  Production imports (``donor_halo``, the CLI
-commands other than ``verify``) never load this module.
+``scipy.linalg.expm``.  The eta oracle bisects the worst-case shift and
+takes nothing from ``validity``.  Production imports (``donor_halo``,
+the CLI commands other than ``verify``) never load this module.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ import math
 import numpy as np
 
 from .errors import MaterialError, NumericalError
-from .fields import (EfgComponents, Geometry, donor_field, rotation_to_field_frame,
-                     screening_density)
+from .fields import (EfgComponents, Geometry, coulomb_field, donor_field,
+                     rotation_to_field_frame, screening_density)
 from .kinetics import dwell_occupancy, power_map, telegraph_p_matrix, telegraph_values
 from .materials import HBAR, MaterialRecord
 from .numerics import gauss_legendre
 from .polarization import p_avg
 from .relaxation import radial_profile
 from .spin_algebra import (_perturbative_terms, build_hq_axial,
-                           build_quadrupole_operators, build_spin_operators)
-from .validity import _worst_case_shift
+                           build_quadrupole_operators, build_spin_operators,
+                           second_order_shift)
 
 
 def screening_cdf_quadrature(r: float) -> float:
@@ -217,17 +218,20 @@ def spin_temperature_eta_bisection(mat: MaterialRecord,
     """Oracle for ``validity.spin_temperature_eta``: bisect, do not invert.
 
     Bisects |d(shift)/dr| * d = hbar gamma I B_L in log r at the reference
-    field, with the derivative of the worst-case shift taken by central
-    differences, then factors out the field dependence r = eta B^(-1/5).
+    field, with the derivative of the worst-case shift (theta = 0, m = I,
+    bare Coulomb field) taken by central differences, then factors out
+    the field dependence r = eta B^(-1/5).
     """
     target = HBAR * mat.gamma * mat.spin * mat.local_field
-    d = mat.neighbor_spacing
+
+    def shift(r_m: float) -> float:
+        f0q = HBAR * mat.gamma * mat.b_q * coulomb_field(r_m / mat.bohr_radius, mat)
+        return second_order_shift(mat.spin, mat.spin, 0.0, f0q, HBAR * mat.gamma * reference_field)
 
     def excess(r_m: float) -> float:
         step = 1e-5 * r_m
-        left = _worst_case_shift(r_m - step, reference_field, mat)
-        right = _worst_case_shift(r_m + step, reference_field, mat)
-        return abs(right - left) / (2.0 * step) * d - target
+        slope = abs(shift(r_m + step) - shift(r_m - step)) / (2.0 * step)
+        return slope * mat.neighbor_spacing - target
 
     lo, hi = 1e-11, 1e-6
     f_lo, f_hi = excess(lo), excess(hi)

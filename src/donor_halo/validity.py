@@ -5,7 +5,8 @@ the Zeeman reservoir dwarfs the spin-spin and quadrupolar ones and that
 a common nuclear spin temperature can establish itself, yet small
 enough that every fluctuation is motionally narrowed.  This module
 evaluates each bound for a concrete operating point and renders a
-structured report.
+structured report.  The spin-temperature radius is a closed form in five
+record fields, which :mod:`donor_halo.oracles` checks by bisection.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import MaterialError
-from .fields import Geometry, coulomb_field
+from .fields import Geometry
 from .kinetics import GAMMA_MIN_DIFFUSION, KineticState
-from .materials import HBAR, MaterialRecord
+from .materials import E_CHARGE, EPSILON_0, MaterialRecord
 from .numerics import NON_NEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, ensure, require
-from .spin_algebra import bq_local_field, second_order_shift
+from .spin_algebra import bq_local_field
 
 
 @dataclass(frozen=True)
@@ -43,23 +44,6 @@ def local_fields(b_field: float, r: float, occupancy: float, geometry: Geometry,
     return LocalFields(b_l=mat.local_field, b_q=b_q, high_field_ok=ok)
 
 
-def _worst_case_shift(r_m: float, b_field: float, mat: MaterialRecord) -> float:
-    """Second-order level shift (J) in the configuration that maximizes it.
-
-    Electric field along the quantization axis, ionized donor
-    (occupancy -> 0), top level m = I: :func:`second_order_shift` at
-    theta = 0 with f0q = hbar gamma b_q E(r) from the bare Coulomb field,
-    which is -2 I (2I - 1) hbar gamma [b_q E(r)]^2 / B; -inf where r^2 or
-    gamma hbar B underflows to 0.
-    """
-    r_squared, zeeman_quantum = r_m * r_m, mat.gamma * HBAR * b_field
-    if not (r_squared and zeeman_quantum):
-        return -math.inf
-    e_field = coulomb_field(1.0, mat) * mat.bohr_radius ** 2 / r_squared
-    f0q = HBAR * mat.gamma * mat.b_q * e_field
-    return second_order_shift(mat.spin, mat.spin, 0.0, f0q, zeeman_quantum)
-
-
 @dataclass(frozen=True)
 class SpinTemperatureLimit:
     eta: float      # m * T^(1/5)
@@ -69,23 +53,19 @@ class SpinTemperatureLimit:
 def spin_temperature_eta(mat: MaterialRecord) -> float:
     """Power-law prefactor of the spin-temperature radius, in closed form.
 
-    The worst-case shift is C / r^4 with C = |shift(r)| r^4 independent of
-    r, so the condition |d(shift)/dr| * d = hbar gamma I B_L for
-    neighboring same-isotope nuclei (spacing d, taken along the radial
-    worst case) holds at r = (4 C d / (hbar gamma I B_L))^(1/5).  The
-    shift scales as 1/B, so r = eta * B^(-1/5) with eta the radius at
-    1 T.  ``oracles.spin_temperature_eta_bisection`` solves the same
-    condition numerically.
+    The worst-case second-order shift (field along the quantization axis,
+    ionized donor, level m = I) is 2 I (2I - 1) hbar gamma [b_q E(r)]^2 / B
+    with E(r) = e / (4 pi eps eps0 r^2).  Its gradient across the same-isotope
+    spacing d equals hbar gamma I B_L at r = eta B^(-1/5), with
+    eta^5 = 8 (2I - 1) (b_q e / 4 pi eps eps0)^2 d / B_L: hbar gamma and the
+    factor I cancel, and the Bohr radius never enters.
+    ``oracles.spin_temperature_eta_bisection`` bisects the same condition.
     """
     if mat.spin < 1.0:
         raise MaterialError("spin-temperature limit needs a quadrupolar nucleus")
-    target = HBAR * mat.gamma * mat.spin * mat.local_field
-    r_m = mat.bohr_radius
-    try:                    # past the float range a float ** raises where * gives inf
-        c = abs(_worst_case_shift(r_m, 1.0, mat)) * r_m ** 4
-    except OverflowError:
-        c = math.inf
-    ratio = 4.0 * c * mat.neighbor_spacing / target if target > 0.0 else math.inf
+    coupling = mat.b_q * (E_CHARGE / (4.0 * math.pi * mat.epsilon * EPSILON_0))
+    ratio = (8.0 * (2.0 * mat.spin - 1.0) * (coupling * coupling) * mat.neighbor_spacing
+             / mat.local_field)
     return ensure(ratio ** 0.2, "spin-temperature radius eta in m*T^(1/5) (check record fields)",
                   POSITIVE_FINITE)
 

@@ -421,11 +421,22 @@ def test_config_syntax_errors(text, message, tmp_path, capsys):
 
 
 def test_validity_out_of_float_range_exits_3(capsys):
-    # hbar gamma I B_L underflows to 0, so the spin-temperature radius has
-    # no float value; that must stay a one-line numerical failure
-    code, err = run_cli_err("validity", "--set", "local_field=1e-300", capsys=capsys)
+    # eta^5 grows as d / B_L and passes the float range here, so the
+    # spin-temperature radius has no float value; that must stay a
+    # one-line numerical failure
+    code, err = run_cli_err("validity", "--set", "local_field=1e-300",
+                            "--set", "neighbor_spacing=1e300", capsys=capsys)
     assert code == 3
     assert err.startswith("donor-halo: numerical failure:") and len(err.splitlines()) == 1
+    assert "spin-temperature radius eta" in err
+
+
+@pytest.mark.parametrize("override", ["bohr_radius=1e80", "local_field=1e-300"])
+def test_validity_answers_where_eta_is_finite(override, capsys):
+    # eta holds no a0*, and a tiny B_L leaves eta^5 in the float range
+    code, out = run_cli("validity", "--set", override, capsys=capsys)
+    assert code == 0 and out.startswith("regime report")
+    assert not re.search(r"\b(inf|nan)\b", out)
 
 
 @pytest.mark.parametrize("argv", [

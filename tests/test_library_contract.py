@@ -15,6 +15,7 @@ so a public function added later cannot skip the contract.
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ def test_a_spin_factor_past_the_float_range_is_refused_not_nan(call):
     # 4I(I+1) is inf at I = 1e155 and sin(0) = 0: the product inf * 0 is NaN
     with pytest.raises(NumericalError, match="^angular factor .* must be non-negative and finite"):
         call()
+
+
+def test_public_names_hold_no_submodule():
+    # a star import binds what __all__ lists, and a submodule is no API name
+    assert not [name for name in donor_halo.__all__
+                if isinstance(getattr(donor_halo, name), types.ModuleType)]
+    namespace = {}
+    exec("from donor_halo import *", namespace)
+    assert not [name for name, value in namespace.items()
+                if isinstance(value, types.ModuleType)]
+    assert set(namespace) - {"__builtins__"} == set(donor_halo.__all__)
 
 
 def test_every_public_callable_is_in_the_table():

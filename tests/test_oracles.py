@@ -178,6 +178,17 @@ def test_spin_temperature_eta_matches_bisection(name, log_field):
     assert _rel(spin_temperature_eta(mat), oracle) <= 1e-9
 
 
+def test_spin_temperature_eta_oracle_has_its_own_route(monkeypatch):
+    # doubling the shift the oracle bisects moves its eta by 2^(1/5) but
+    # leaves the closed form alone: the two share no helper
+    import donor_halo.oracles as oracles
+    shift = oracles.second_order_shift
+    monkeypatch.setattr(oracles, "second_order_shift", lambda *args: 2.0 * shift(*args))
+    mat = get_material("GaAs:As75")
+    oracle = spin_temperature_eta_bisection(mat)
+    assert oracle / spin_temperature_eta(mat) == pytest.approx(2.0 ** 0.2, rel=1e-9)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.floats(-6.0, math.log10(FIELD_INTEGRAL_UPPER)))
 def test_screening_cdf_quadrature_matches_quad(log_r):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from donor_halo import (Geometry, build_report, local_fields, motional_regime,
                         occupancy, render_report, spin_temperature_limit,
@@ -29,6 +31,30 @@ def test_eta_reference_window(gaas):
     assert 3e-9 * 0.5 <= eta <= 3e-9 * 1.5
     threshold = field_threshold(gaas.bohr_radius / 2.0, eta)
     assert 0.09 / 2.0 <= threshold <= 0.09 * 2.0
+
+
+@pytest.mark.parametrize("bohr_radius", [1e-300, 1e-100, 1e-30, 1e-8, 1e30, 1e80, 1e300])
+def test_eta_does_not_depend_on_the_bohr_radius(gaas, bohr_radius):
+    # eta^5 = 8 (2I - 1) (b_q e / 4 pi eps eps0)^2 d / B_L holds no a0*
+    assert spin_temperature_eta(gaas.with_overrides(bohr_radius=bohr_radius)) \
+        == spin_temperature_eta(gaas)
+
+
+@pytest.mark.parametrize("name, power, lo, hi", [
+    ("neighbor_spacing", 0.2, -260.0, 250.0),
+    ("local_field", -0.2, -290.0, 250.0),
+    ("epsilon", -0.4, -150.0, 130.0),
+])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+def test_eta_scales_as_a_power_of_each_record_field(gaas, name, power, lo, hi, u):
+    # decades of the field, over ranges where every intermediate stays a normal float
+    decades = lo + u * (hi - lo)
+    scaled = gaas.with_overrides(**{name: getattr(gaas, name) * 10.0 ** decades})
+    expected = spin_temperature_eta(gaas) * 10.0 ** (power * decades)
+    assert spin_temperature_eta(scaled) == pytest.approx(expected, rel=1e-12)
 
 
 def test_radius_power_law(gaas):
