@@ -187,13 +187,7 @@ def _write(text: str, out: str | None) -> None:
 def _csv(header: list[str], columns: dict[str, Sequence[object]]) -> str:
     out = [*header, ",".join(columns)]
     for row in zip(*columns.values()):
-        cells = []
-        for cell in row:
-            if isinstance(cell, np.bool_):
-                cells.append("1" if cell else "0")
-            else:
-                cells.append(f"{float(cell):.12g}")
-        out.append(",".join(cells))
+        out.append(",".join([f"{float(cell):.12g}" for cell in row]))    # a bool as 1 or 0
     return "\n".join(out) + "\n"
 
 

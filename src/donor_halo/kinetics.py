@@ -194,7 +194,8 @@ def invert_power(power, mat: MaterialRecord):
 
     The power map is strictly increasing on (0, gamma_ceiling) and onto
     (0, inf), so the bisection always converges.  A power below the one
-    at the floor of the bracket, occupancy 1e-16, raises BracketError.
+    at the floor of the bracket, occupancy 1e-16, raises BracketError; a
+    floor power that over- or underflows a float raises NumericalError.
     Beyond the top of the bracket the occupancy sits on its asymptotic
     plateau, and the top is returned.  Takes a float, bisected on floats,
     or an array, bisected in lockstep through the same midpoints, so both
@@ -203,7 +204,9 @@ def invert_power(power, mat: MaterialRecord):
     power = require(power, "power", POSITIVE)
     lo, hi = 1e-16, gamma_ceiling(mat) * (1.0 - 1e-14)
     resolved = 4.0 * sys.float_info.epsilon      # bracket width relative to hi
-    floor = power_map(lo, mat).power
+    floor = ensure(power_map(lo, mat).power, "power in W/m^2 sustaining occupancy 1e-16 "
+                   "(check acceptor_density, donor_density, bimolecular_k, sigma_capture, "
+                   "velocity, diffusion_length and photon_energy)", POSITIVE_FINITE)
     if any_true(power < floor):
         raise BracketError(f"power {np.min(power):.6g} W/m^2 is below {floor:.6g} W/m^2, "
                            f"which sustains occupancy {lo:g}")

@@ -1,15 +1,15 @@
-"""Minimal self-contained SVG line charts.
+"""Minimal SVG line charts (axes, optional log scales, legend), drawn with numpy.
 
-The CSV outputs are authoritative; these charts are a dependency-free
-convenience rendering (axes, optional log scales, legend).  Output is
-deterministic: same data, byte-identical markup.
+The CSV outputs are authoritative; the charts are a convenience.  Pixels and M4
+thinning work on whole arrays.  Output is deterministic: same data, same bytes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import MaterialError
 
@@ -58,20 +58,28 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _m4(pixels: Iterable[tuple[float, float]]) -> Iterator[tuple[float, float]]:
-    """The (px, py) points a polyline needs to look the same.
+def _pixels(values, lo: float, hi: float, log: bool, start: float, length: float):
+    """Pixels of values (a float or an array) on an axis mapping [lo, hi] to start + [0, length]."""
+    if log:
+        values, lo, hi = np.log10(values), np.log10(lo), np.log10(hi)
+    return start + (values - lo) / (hi - lo) * length
 
-    Of each run of consecutive points in one pixel column, the first,
-    last, lowest and highest, in their order (M4: Jugel et al., "M4: A
-    Visualization-Oriented Time Series Data Aggregation", VLDB 2014).  A
-    run of at most 4 points is kept whole.
+
+def _m4(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the points a polyline needs to look the same.
+
+    M4 (Jugel et al., VLDB 2014): of each run of consecutive points in one pixel column, the
+    first, last, first lowest and first highest; a run of at most 4 points is kept whole.
     """
-    for _, run in itertools.groupby(pixels, key=lambda p: math.floor(p[0])):
-        run = list(run)
-        if len(run) > 4:
-            ys = [py for _, py in run]
-            run = [run[i] for i in sorted({0, len(run) - 1, ys.index(min(ys)), ys.index(max(ys))})]
-        yield from run
+    starts = np.flatnonzero(np.diff(np.floor(px), prepend=np.nan))   # nan: point 0 starts a run
+    lengths = np.diff(np.append(starts, len(px)))
+    run = np.repeat(np.arange(len(starts)), lengths)
+    keep = (lengths <= 4)[run]
+    keep[starts] = keep[starts + lengths - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        hits = np.flatnonzero(py == extreme.reduceat(py, starts)[run])
+        keep[hits[np.unique(run[hits], return_index=True)[1]]] = True    # first hit of a run
+    return np.flatnonzero(keep)
 
 
 def line_chart(series: Sequence[tuple[Sequence[float], Sequence[float], str]],
@@ -83,31 +91,19 @@ def line_chart(series: Sequence[tuple[Sequence[float], Sequence[float], str]],
     """
     if not series:
         raise MaterialError("nothing to plot")
-    xs = [x for s in series for x in s[0]]
-    ys = [y for s in series for y in s[1]]
-    if logx and min(xs) <= 0.0:
+    data = [(np.asarray(x, float), np.asarray(y, float), label) for x, y, label in series]
+    xs = np.concatenate([x for x, _, _ in data])
+    if logx and xs.min() <= 0.0:
         raise MaterialError("log x axis needs positive values")
     if logy:
-        ys = [y for y in ys if y > 0.0]
-        if not ys:
-            raise MaterialError("log y axis needs positive values")
-    x_lo, x_hi = _axis_range(min(xs), max(xs), logx)
-    y_lo, y_hi = _axis_range(min(ys), max(ys), logy)
-
-    def tx(x: float) -> float:
-        if logx:
-            frac = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            frac = (x - x_lo) / (x_hi - x_lo)
-        return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
-
-    def ty(y: float) -> float:
-        if logy:
-            frac = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            frac = (y - y_lo) / (y_hi - y_lo)
-        return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
-
+        data = [(x[y > 0.0], y[y > 0.0], label) for x, y, label in data]
+    ys = np.concatenate([y for _, y, _ in data])
+    if logy and not ys.size:
+        raise MaterialError("log y axis needs positive values")
+    x_lo, x_hi = _axis_range(float(xs.min()), float(xs.max()), logx)
+    y_lo, y_hi = _axis_range(float(ys.min()), float(ys.max()), logy)
+    x_axis = (x_lo, x_hi, logx, _MARGIN_L, _WIDTH - _MARGIN_L - _MARGIN_R)
+    y_axis = (y_lo, y_hi, logy, _HEIGHT - _MARGIN_B, -(_HEIGHT - _MARGIN_T - _MARGIN_B))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -121,14 +117,14 @@ def line_chart(series: Sequence[tuple[Sequence[float], Sequence[float], str]],
                 f'fill="none" stroke="black" stroke-width="1"/>')
     parts.append(axis_box)
     for t in _ticks(x_lo, x_hi, logx):
-        px = tx(t)
+        px = _pixels(t, *x_axis)
         parts.append(f'<line x1="{px:.1f}" y1="{_HEIGHT - _MARGIN_B}" '
                      f'x2="{px:.1f}" y2="{_HEIGHT - _MARGIN_B + 5}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{_HEIGHT - _MARGIN_B + 18}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="11">{_fmt(t)}</text>')
     for t in _ticks(y_lo, y_hi, logy):
-        py = ty(t)
+        py = _pixels(t, *y_axis)
         parts.append(f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" '
                      f'x2="{_MARGIN_L}" y2="{py:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" '
@@ -141,11 +137,11 @@ def line_chart(series: Sequence[tuple[Sequence[float], Sequence[float], str]],
                  f'text-anchor="middle" font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {(_MARGIN_T + _HEIGHT - _MARGIN_B) // 2})">'
                  f'{ylabel}</text>')
-    for i, (x_data, y_data, label) in enumerate(series):
+    for i, (x_data, y_data, label) in enumerate(data):
         color = _COLORS[i % len(_COLORS)]
-        points = " ".join(f"{px:.2f},{py:.2f}" for px, py in _m4(
-            (tx(float(x)), ty(float(y))) for x, y in zip(x_data, y_data)
-            if not (logy and float(y) <= 0.0)))
+        px, py = _pixels(x_data, *x_axis), _pixels(y_data, *y_axis)
+        kept = _m4(px, py)
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px[kept].tolist(), py[kept].tolist()))
         parts.append(f'<polyline points="{points}" fill="none" '
                      f'stroke="{color}" stroke-width="1.8"/>')
         ly = _MARGIN_T + 16 + 18 * i

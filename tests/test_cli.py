@@ -407,6 +407,18 @@ def test_power_below_the_occupancy_bracket_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_power_whose_power_map_overflows_exits_3_naming_the_overflow(tmp_path, capsys):
+    # the power map passes the float range at every occupancy; the refusal
+    # says so instead of calling the requested power "below inf"
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err("power", "--set", "acceptor_density=1e300", "--out", str(out),
+                            capsys=capsys)
+    assert code == 3
+    assert "below inf" not in err and "acceptor_density" in err and err.endswith("got inf\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[run]\nf0\n", "expected 'key = value'"),
     ("f0 = 0.02\n# comment\nnot a pair\n", "expected 'key = value'"),

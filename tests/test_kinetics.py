@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from donor_halo import (GAMMA_MIN_DIFFUSION, BracketError, Geometry, MaterialError,
-                        gamma_ceiling, get_material, invert_power, list_materials,
-                        motional_regime, occupancy, power_map, rates,
+                        NumericalError, gamma_ceiling, get_material, invert_power,
+                        list_materials, motional_regime, occupancy, power_map, power_sweep, rates,
                         simulate_telegraph, spectral_density, state_for_occupancy,
                         telegraph_correlation)
 from donor_halo import kinetics
@@ -236,6 +237,26 @@ def test_invert_power_rejects_power_below_the_bracket(gaas):
         invert_power(power, gaas)
     with pytest.raises(BracketError, match="below"):
         invert_power(np.array([power_scale(gaas), power]), gaas)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mat: invert_power(power_scale(mat), mat),
+    lambda mat: invert_power(np.array([power_scale(mat), 2.0 * power_scale(mat)]), mat),
+    lambda mat: power_sweep(np.geomspace(0.1, 100.0, 5), mat),
+], ids=["float", "array", "power_sweep"])
+def test_a_power_map_overflowing_at_the_bracket_floor_is_named(gaas, call):
+    # at N_A = 1e300 the power map passes the float range at every
+    # occupancy, the bracket floor included; the refusal names that power
+    # and the record fields behind it instead of a power "below inf"
+    mat = gaas.with_overrides(acceptor_density=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # and no RuntimeWarning on the way
+        with pytest.raises(NumericalError) as refusal:
+            call(mat)
+    message = str(refusal.value)
+    assert "below" not in message and not isinstance(refusal.value, BracketError)
+    assert message.startswith("power in W/m^2 sustaining occupancy 1e-16 (check acceptor_density,")
+    assert message.endswith("must be positive and finite, got inf")
 
 
 def test_invert_power_raises_when_out_of_steps(gaas, monkeypatch):
