@@ -167,22 +167,26 @@ def power_map(gamma_t, mat: MaterialRecord) -> PowerPoint:
     suit (p0 stays a float).
     """
     gamma_t = require(gamma_t, "occupancy", UNIT_OPEN)
-    capture = mat.sigma_capture * mat.velocity
-    denom = capture * (1.0 - gamma_t) - mat.bimolecular_k * gamma_t
-    if any_true(denom <= 0.0):
+    if any_true(mat.sigma_capture * mat.velocity * (1.0 - gamma_t)
+                - mat.bimolecular_k * gamma_t <= 0.0):
         raise MaterialError(f"capture-limited ceiling exceeded: occupancy {np.max(gamma_t)} "
                             f"is not reachable (max {gamma_ceiling(mat):.6f})")
-    n_f = (mat.bimolecular_k * gamma_t
-           * (mat.acceptor_density + gamma_t * mat.donor_density) / denom)
-    generation = n_f * (
-        (capture * (1.0 - gamma_t) + mat.bimolecular_k * gamma_t) * mat.donor_density
-        + mat.bimolecular_k * (n_f + mat.acceptor_density)
-    )
-    return PowerPoint(
-        power=generation * mat.diffusion_length * mat.photon_energy,
-        p0=power_scale(mat),
-        free_density=n_f,
-    )
+    power, n_f = _balance(gamma_t, mat)
+    return PowerPoint(power=power, p0=power_scale(mat), free_density=n_f)
+
+
+def _balance(gamma_t, mat: MaterialRecord):
+    """(power, free density) at occupancy gamma_t: power_map without its guards.
+
+    The caller has checked gamma_t in (0, 1) with c(1 - gamma_t) > k gamma_t,
+    c = sigma_capture * velocity.
+    """
+    captured = mat.sigma_capture * mat.velocity * (1.0 - gamma_t)
+    bound = mat.bimolecular_k * gamma_t
+    n_f = bound * (mat.acceptor_density + gamma_t * mat.donor_density) / (captured - bound)
+    generation = n_f * ((captured + bound) * mat.donor_density
+                        + mat.bimolecular_k * (n_f + mat.acceptor_density))
+    return generation * mat.diffusion_length * mat.photon_energy, n_f
 
 
 #: relative power mismatch at which invert_power stops
@@ -199,7 +203,10 @@ def invert_power(power, mat: MaterialRecord):
     Beyond the top of the bracket the occupancy sits on its asymptotic
     plateau, and the top is returned.  Takes a float, bisected on floats,
     or an array, bisected in lockstep through the same midpoints, so both
-    give identical occupancies.
+    give identical occupancies.  The array path checks power_map's guards
+    at the two ends of the bracket only: every midpoint lies between them,
+    and c(1 - gamma) - k gamma falls with gamma under rounding too, so the
+    guards hold there.  Its steps run on the points still bisecting.
     """
     power = require(power, "power", POSITIVE)
     lo, hi = 1e-16, gamma_ceiling(mat) * (1.0 - 1e-14)
@@ -210,22 +217,38 @@ def invert_power(power, mat: MaterialRecord):
     if any_true(power < floor):
         raise BracketError(f"power {np.min(power):.6g} W/m^2 is below {floor:.6g} W/m^2, "
                            f"which sustains occupancy {lo:g}")
+    top = power_map(hi, mat).power
     if not isinstance(power, float):
-        top, tol = hi, _POWER_RTOL * power
-        lo, hi = np.full(power.shape, lo), np.full(power.shape, hi)
-        occ = 0.5 * (lo + hi)
-        active = np.ones(power.shape, dtype=bool)
+        # points beyond the top keep it; the others leave with their midpoint
+        occ = np.full(power.size, hi)
+        left = np.flatnonzero(power <= top)
+        target = power.ravel()[left]
+        tol = _POWER_RTOL * target
+        # a midpoint rounds by at most half an ulp of hi, so every bracket is
+        # at least span - eps * hi wide, span being the first width halved
+        # once a step: none can shrink to resolved * hi while span > narrow
+        span, narrow = hi - lo, 2.0 * resolved * hi
+        lo, hi = np.full(left.size, lo), np.full(left.size, hi)
+        mid = 0.5 * (lo + hi)
         for _ in range(MAX_STEPS):
-            value = power_map(occ, mat).power
-            active &= (np.abs(value - power) > tol) & (hi - lo > resolved * hi)
-            if not active.any():
-                return np.where(power_map(top, mat).power < power, top, occ)
-            below = value < power
-            np.copyto(lo, occ, where=active & below)
-            np.copyto(hi, occ, where=active & ~below)
-            np.copyto(occ, 0.5 * (lo + hi), where=active)
+            value = _balance(mid, mat)[0]
+            bisecting = np.abs(value - target) > tol
+            if span <= narrow:
+                bisecting &= hi - lo > resolved * hi
+            below = value < target
+            if not bisecting.all():
+                occ[left] = mid           # final for the points that leave here
+                keep = bisecting.nonzero()[0]
+                left, target, tol, lo, hi, mid, below = (
+                    left[keep], target[keep], tol[keep], lo[keep], hi[keep], mid[keep],
+                    below[keep])
+            if not left.size:
+                return occ.reshape(power.shape)
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            mid = 0.5 * (lo + hi)
+            span *= 0.5
         raise BracketError("power inversion did not converge")
-    if power_map(hi, mat).power < power:
+    if top < power:
         return hi             # asymptotic plateau beyond any finite bracket
     for _ in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)

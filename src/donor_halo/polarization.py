@@ -26,7 +26,8 @@ from .fields import Geometry, _log_screening, screening_density, screening_fract
 from .kinetics import (GAMMA_MIN_DIFFUSION, KineticState, invert_power,
                        power_map, power_scale)
 from .materials import MaterialRecord
-from .numerics import FINITE, POSITIVE, POSITIVE_FINITE, UNIT_OPEN, gauss_legendre, require
+from .numerics import (FINITE, POSITIVE, POSITIVE_FINITE, UNIT_OPEN, ensure, gauss_legendre,
+                       require)
 from .relaxation import (_LOG_FLOAT_MAX, intrinsic_ratio, log_radial_profile,
                          radial_profile_inverse, rates)
 
@@ -320,6 +321,8 @@ def power_sweep(p_over_p0: np.ndarray, mat: MaterialRecord, *,
     f00 = intrinsic_ratio(mat)
     with np.errstate(over="ignore"):        # an infinite power is the plateau
         power = grid * power_scale(mat)
+    power = ensure(power, "power in W/m^2 (check diffusion_length, photon_energy, "
+                   "bimolecular_k, acceptor_density and donor_density)", POSITIVE)
     occ = invert_power(power, mat)
     nf = power_map(occ, mat).free_density
     if quadrupolar:

@@ -419,6 +419,19 @@ def test_power_whose_power_map_overflows_exits_3_naming_the_overflow(tmp_path, c
     assert not out.exists()
 
 
+def test_power_whose_derived_power_underflows_exits_3_naming_the_fields(tmp_path, capsys):
+    # P/P0 * P0 underflows to 0 although the user gave no power: a derived
+    # value out of the float range is a numerical failure, not a usage error
+    out = tmp_path / "out.csv"
+    code, err = run_cli_err("power", "--set", "diffusion_length=1e-300",
+                            "--set", "photon_energy=1e-300", "--out", str(out), capsys=capsys)
+    assert code == 3
+    assert all(field in err for field in ("diffusion_length", "photon_energy", "bimolecular_k",
+                                          "acceptor_density", "donor_density"))
+    assert err.endswith("got 0.0\n") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("[run]\nf0\n", "expected 'key = value'"),
     ("f0 = 0.02\n# comment\nnot a pair\n", "expected 'key = value'"),

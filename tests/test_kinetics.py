@@ -270,6 +270,17 @@ def test_invert_power_raises_when_out_of_steps(gaas, monkeypatch):
         invert_power(np.array([power, 2.0 * power]), gaas)
 
 
+def test_invert_power_array_guards_only_the_bracket_ends(gaas, monkeypatch):
+    # the guarded power map runs at the floor and the top, once per call;
+    # the lockstep steps go through the unguarded kernel
+    occupancies = []
+    guarded = kinetics.power_map
+    monkeypatch.setattr(kinetics, "power_map",
+                        lambda gamma_t, mat: occupancies.append(gamma_t) or guarded(gamma_t, mat))
+    invert_power(np.geomspace(0.1, 100.0, 50) * power_scale(gaas), gaas)
+    assert occupancies == [1e-16, gamma_ceiling(gaas) * (1.0 - 1e-14)]
+
+
 def test_reference_power_inverts_to_half(gaas_zeta01):
     power = (110.0 / 81.0) * power_scale(gaas_zeta01)
     assert invert_power(power, gaas_zeta01) == pytest.approx(0.5, abs=1e-9)
